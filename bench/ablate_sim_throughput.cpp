@@ -8,12 +8,9 @@
 // wall-clock speedup of BM_Fig8Sweep/T over BM_Fig8SweepSerial.
 #include <benchmark/benchmark.h>
 
-#include <optional>
-
 #include "obs/metrics.h"
 #include "sim/montecarlo.h"
 #include "sim/snapshot_codec.h"
-#include "store/async_persist.h"
 #include "store/store.h"
 #include "trace/analysis.h"
 #include "workloads/workloads.h"
@@ -119,27 +116,14 @@ void BM_CheckpointCapture(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckpointCapture)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
-// The asynchronous persistence pipeline (store::AsyncPersister): what does
-// moving serialization + delta encoding + manifest publication off the
-// simulation thread buy on the critical path? Arms × world size:
+// Where a checkpoint take's capture cost goes, per world size. Arms × n:
 //   /0/n  capture off          (the ceiling: engine with no persistence)
-//   /1/n  synchronous capture  (store_capture_fn on the engine thread)
-//   /2/n  asynchronous capture (pooled-copy handoff; a writer thread
-//         serializes and commits; drain() before the iteration ends so
-//         every image is durable inside the measured region)
+//   /1/n  synchronous capture  (store_capture_fn: serialize, delta-encode,
+//         checksum and publish on the engine thread)
 //   /3/n  copy only            (the take copied into one recycled
-//         snapshot and discarded: the part of the capture cost async
-//         CANNOT remove — the gap from /3 to /2 is the queue's own
-//         critical-path footprint)
-//
-// events/s and ckpts/s are kIsRate counters, which google-benchmark
-// divides by the MAIN THREAD's cpu_time — i.e. they measure the
-// simulation critical path. That is exactly the quantity the pipeline
-// optimizes, and it is meaningful even on a single-core runner: the
-// writer thread's CPU does not count, and the main thread's
-// condition-variable wait inside drain() accrues no cpu_time. The
-// headline BENCH_sim.json ratio (async_capture_speedup) is arm2/arm1
-// events/s at each n.
+//         snapshot and discarded: the floor any capture path pays)
+// Arm numbers name BENCH_sim.json rows, so 2 stays unused. events/s and
+// ckpts/s are kIsRate counters over the main thread's cpu_time.
 void BM_AsyncCapture(benchmark::State& state) {
   benchws::RingParams params;
   params.iterations = 64;
@@ -156,14 +140,8 @@ void BM_AsyncCapture(benchmark::State& state) {
     opts.keep_snapshots = false;
     store::StableStore stable(store::StorageModel{},
                               store::CheckpointMode::kIncremental, nprocs);
-    std::optional<store::AsyncPersister> persister;
     if (arm == 1) {
       opts.checkpoint_capture_fn = sim::store_capture_fn(stable);
-    } else if (arm == 2) {
-      store::AsyncPersistOptions popts;
-      popts.queue_capacity = 64;
-      persister.emplace(stable, popts);
-      opts.checkpoint_capture_fn = sim::async_store_capture_fn(*persister);
     } else if (arm == 3) {
       auto scratch = std::make_shared<sim::VmSnapshot>();
       opts.checkpoint_capture_fn =
@@ -171,7 +149,6 @@ void BM_AsyncCapture(benchmark::State& state) {
     }
     sim::Engine engine(program, opts);
     const auto result = engine.run();
-    if (persister) persister->drain();
     events += result.stats.events_processed;
     checkpoints += result.stats.statement_checkpoints;
     benchmark::DoNotOptimize(result.trace.end_time);
@@ -180,18 +157,16 @@ void BM_AsyncCapture(benchmark::State& state) {
       static_cast<double>(events), benchmark::Counter::kIsRate);
   state.counters["ckpts/s"] = benchmark::Counter(
       static_cast<double>(checkpoints), benchmark::Counter::kIsRate);
-  static const char* kLabels[] = {"capture off", "capture sync",
-                                  "capture async", "copy only"};
-  state.SetLabel(kLabels[arm]);
+  state.SetLabel(arm == 0   ? "capture off"
+                 : arm == 1 ? "capture sync"
+                            : "copy only");
 }
 BENCHMARK(BM_AsyncCapture)
     ->Args({0, 8})
     ->Args({1, 8})
-    ->Args({2, 8})
     ->Args({3, 8})
     ->Args({0, 32})
     ->Args({1, 32})
-    ->Args({2, 32})
     ->Args({3, 32});
 
 // Observability overhead on the BM_SimulateRing hot path. Arms:

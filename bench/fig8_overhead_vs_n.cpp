@@ -16,8 +16,8 @@
 //
 // `fig8_overhead_vs_n --obs-export PREFIX` instead runs ONE small fully
 // instrumented iteration — checkpointed ring over a lossy wire, one
-// failure, async-persisted store capture, so every obs layer (engine,
-// transport, calqueue, store, persist) emits — and writes
+// failure, store capture, so every obs layer (engine, transport,
+// calqueue, store) emits — and writes
 // PREFIX.metrics.jsonl + PREFIX.trace.json. tools/check_obs_export.py
 // validates both files from the ObsSmoke ctest.
 #include <cstring>
@@ -29,7 +29,6 @@
 #include "perf/model.h"
 #include "sim/montecarlo.h"
 #include "sim/snapshot_codec.h"
-#include "store/async_persist.h"
 #include "store/store.h"
 #include "util/table.h"
 #include "workloads/workloads.h"
@@ -62,17 +61,9 @@ int run_obs_export(const std::string& prefix) {
   store::StableStore store(model, store::CheckpointMode::kIncremental,
                            opts.nprocs);
   store.set_obs(&registry);
-  bool completed = false;
-  {
-    store::AsyncPersistOptions popts;
-    popts.obs = &registry;
-    popts.queue_capacity = 2;
-    store::AsyncPersister persister(store, popts);
-    opts.checkpoint_capture_fn = sim::async_store_capture_fn(persister);
-    sim::Engine engine(program, opts);
-    completed = engine.run().trace.completed;
-    persister.drain();
-  }
+  opts.checkpoint_capture_fn = sim::store_capture_fn(store);
+  sim::Engine engine(program, opts);
+  const bool completed = engine.run().trace.completed;
   store.collect_garbage(2);
 
   const obs::MetricsSnapshot snap = registry.snapshot();

@@ -20,8 +20,8 @@
 // Registration (Registry::counter/gauge/histogram) is mutex-guarded and
 // returns a stable reference — call it once at wiring time and keep the
 // handle; increments through the handle never take a lock. Names carry a
-// dotted layer prefix ("engine.", "calqueue.", "store.", "transport.",
-// "persist.") — docs/observability.md is the catalog.
+// dotted layer prefix ("engine.", "calqueue.", "store.", "transport.") —
+// docs/observability.md is the catalog.
 //
 // snapshot() freezes the registry into plain integers, sorted by metric
 // name; merge() folds snapshots (counters add, gauges add values and max

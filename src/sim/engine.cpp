@@ -159,11 +159,7 @@ Engine::Engine(const mp::Program& program, SimOptions opts,
   // without reallocating. Growth beyond the hint stays geometric.
   trace_.reserve(/*events=*/256 * n, /*messages=*/96 * n,
                  /*checkpoints=*/32 * n);
-  use_legacy_queue_ = opts_.legacy_scheduler;
   if (opts_.schedule_hook != nullptr) {
-    ACFC_CHECK_MSG(!use_legacy_queue_,
-                   "schedule hooks require the calendar-queue scheduler "
-                   "(state hashing iterates the live queue)");
     ACFC_CHECK_MSG(!opts_.delay.lossy(),
                    "schedule hooks require the reliable fast path");
     ACFC_CHECK_MSG(opts_.perturb.tie_cap >= 1 &&
@@ -171,13 +167,6 @@ Engine::Engine(const mp::Program& program, SimOptions opts,
                    "tie_cap out of range");
     ACFC_CHECK_MSG(opts_.perturb.delay_steps >= 1, "delay_steps must be >= 1");
   }
-  if (use_legacy_queue_) {
-    std::vector<Ev> backing;
-    backing.reserve(16 * n + 64);
-    queue_ = std::priority_queue<Ev, std::vector<Ev>, EvCmp>(
-        EvCmp{}, std::move(backing));
-  }
-
   // Static index of each checkpoint statement (when placement is balanced).
   try {
     const cfg::Cfg graph = cfg::build_cfg(program_);
@@ -209,18 +198,10 @@ Engine::~Engine() = default;
 
 void Engine::push_event(double time, EvKind kind, int proc, long a, long b) {
   const Ev ev{time, event_seq_++, kind, proc, a, b, epoch_};
-  if (use_legacy_queue_)
-    queue_.push(ev);
-  else
-    calqueue_.push(ev);
+  calqueue_.push(ev);
 }
 
 Ev Engine::next_event() {
-  if (use_legacy_queue_) {
-    const Ev ev = queue_.top();
-    queue_.pop();
-    return ev;
-  }
   Ev ev = calqueue_.pop();
   ScheduleHook* hook = opts_.schedule_hook;
   const int cap = std::min(opts_.perturb.tie_cap,
@@ -350,7 +331,7 @@ void Engine::check_event_faults() {
 SimResult Engine::run() {
   bootstrap();
   while (stats_.events_processed < opts_.max_events) {
-    if (use_legacy_queue_ ? queue_.empty() : calqueue_.empty()) break;
+    if (calqueue_.empty()) break;
     const Ev ev = next_event();
     ++stats_.events_processed;
     ACFC_CHECK_MSG(ev.time + 1e-12 >= now_, "time went backwards");
@@ -802,18 +783,10 @@ double Engine::take_checkpoint(int p, int ckpt_id, bool forced) {
     overhead = forced ? 0.0 : o;
     latency = l;
   }
-  // Real payload capture: hand the full VM state to the storage layer.
-  // The synchronous hook serializes + delta-encodes inline; the shared
-  // hook hands an immutable image to an asynchronous persister instead,
-  // and the same image doubles as the engine's retained snapshot below —
-  // async capture plus keep_snapshots costs exactly one state copy.
+  // Real payload capture: hand the full VM state to the storage layer,
+  // which serializes + delta-encodes it inline.
   if (opts_.checkpoint_capture_fn)
     opts_.checkpoint_capture_fn(p, proc.vm->state());
-  std::shared_ptr<const VmSnapshot> shared_state;
-  if (opts_.checkpoint_capture_shared_fn || opts_.keep_snapshots)
-    shared_state = std::make_shared<const VmSnapshot>(proc.vm->state());
-  if (opts_.checkpoint_capture_shared_fn)
-    opts_.checkpoint_capture_shared_fn(p, shared_state);
 
   trace::CkptRec rec;
   rec.proc = p;
@@ -827,8 +800,9 @@ double Engine::take_checkpoint(int p, int ckpt_id, bool forced) {
   rec.forced = forced;
   if (opts_.keep_snapshots) {
     rec.snapshot = static_cast<int>(snapshots_.size());
-    snapshots_.push_back(
-        EngineSnapshot{std::move(shared_state), proc.pending_recv});
+    snapshots_.push_back(EngineSnapshot{
+        std::make_shared<const VmSnapshot>(proc.vm->state()),
+        proc.pending_recv});
   }
   trace_.checkpoints.push_back(rec);
 
@@ -1725,8 +1699,6 @@ std::uint64_t quantize_rel(double t, double now) {
 }  // namespace
 
 std::uint64_t Engine::schedule_state_hash() const {
-  ACFC_CHECK_MSG(!use_legacy_queue_,
-                 "schedule_state_hash requires the calendar queue");
   StateMix mix;
   const auto n = static_cast<size_t>(opts_.nprocs);
   mix.mix(n);

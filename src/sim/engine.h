@@ -16,7 +16,6 @@
 
 #include <memory>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "mp/stmt.h"
@@ -137,34 +136,15 @@ struct SimOptions {
   /// Capture hook fired on every checkpoint take with the process's full
   /// VM state — the bridge to real stored payloads (serialize the snapshot
   /// and hand it to a StableStore's payload API; see
-  /// store::checkpoint_capture_fn). Independent of keep_snapshots. Must be
+  /// sim::store_capture_fn). Independent of keep_snapshots. Must be
   /// deterministic for replay.
   std::function<void(int proc, const VmSnapshot& state)> checkpoint_capture_fn;
-  /// Shared-image capture hook for ASYNCHRONOUS persistence: fired on
-  /// every take with an immutable shared snapshot of the process state.
-  /// The engine aliases this image with its own retained snapshot when
-  /// keep_snapshots is on, so enabling both costs a single copy; the
-  /// receiver may serialize and store it on another thread (see
-  /// sim::async_store_capture_fn + store::AsyncPersister — the handoff is
-  /// O(1), taking capture off the simulation critical path). Synchronous
-  /// capture via checkpoint_capture_fn stays the default; when both are
-  /// set, the synchronous hook fires first.
-  std::function<void(int proc, std::shared_ptr<const VmSnapshot> state)>
-      checkpoint_capture_shared_fn;
   /// Retain VM snapshots for checkpoints (needed for failures/restart).
   bool keep_snapshots = true;
-  /// Schedule events on the original std::priority_queue core instead of
-  /// the calendar queue. (time, seq) is a unique total order, so the two
-  /// schedulers pop identical sequences and produce bit-identical digests
-  /// — tests/test_scheduler.cpp holds them to that; this switch exists for
-  /// that differential suite and as an escape hatch, mirroring the
-  /// analysis engine's legacy_pairwise.
-  bool legacy_scheduler = false;
   /// Schedule-perturbation hook (sim/schedule_hook.h): when set, the
   /// engine offers tie-break / delivery-delay / failure-point choices at
   /// deterministic points and follows the hook's answers. Requires the
-  /// calendar-queue scheduler and the reliable fast path; nullptr costs
-  /// nothing on the hot paths.
+  /// reliable fast path; nullptr costs nothing on the hot paths.
   ScheduleHook* schedule_hook = nullptr;
   /// How much nondeterminism the hook is offered (ignored when the hook
   /// is null).
@@ -340,8 +320,6 @@ class Engine {
   /// to now. Two engines with equal hashes are (modulo the 64-bit digest)
   /// in the same logical state and will unfold identical schedule
   /// subtrees, which is what the explorer's memoization prunes on.
-  /// Requires the calendar-queue scheduler (the legacy heap cannot be
-  /// iterated).
   std::uint64_t schedule_state_hash() const;
 
  private:
@@ -517,12 +495,8 @@ class Engine {
   };
   std::vector<XportChan> xport_;
 
-  /// The event core: the calendar queue by default, the original binary
-  /// heap behind opts_.legacy_scheduler (use_legacy_queue_ caches the
-  /// flag for the hot path). Both pop the identical (time, seq) order.
+  /// The event core: pops events in (time, seq) order.
   CalendarQueue calqueue_;
-  std::priority_queue<Ev, std::vector<Ev>, EvCmp> queue_;
-  bool use_legacy_queue_ = false;
   util::Rng net_rng_{0x5eedULL};
 };
 

@@ -65,12 +65,12 @@ auto parallel_map(long count, const McOptions& opts, Fn&& fn)
 /// program must stay alive and unmutated for the duration of the batch.
 ///
 /// Per-run-resources rule: anything a config's hooks close over — a
-/// store::StableStore, a store::AsyncPersister, capture/cost functions —
-/// must be private to that run. Sharing one store (or persister) across
-/// configs would interleave ordinals across concurrent engines and race.
-/// When runs need live stores, build them inside a parallel_map body (one
-/// store + persister + Engine per index) instead of pre-baking them into
-/// shared SimOptions; tests/test_async_persist.cpp shows the pattern.
+/// store::StableStore, capture/cost functions — must be private to that
+/// run. Sharing one store across configs would interleave ordinals across
+/// concurrent engines and race. When runs need live stores, build them
+/// inside a parallel_map body (one store + Engine per index) instead of
+/// pre-baking them into shared SimOptions; tests/test_delta.cpp
+/// (PerRunStoresAreBitIdenticalAcrossPoolSizes) shows the pattern.
 std::vector<SimResult> run_batch(const mp::Program& program,
                                  const std::vector<SimOptions>& configs,
                                  const McOptions& opts = {});

@@ -2,8 +2,6 @@
 
 #include <cstring>
 #include <memory>
-#include <mutex>
-#include <vector>
 
 namespace acfc::sim {
 
@@ -94,54 +92,6 @@ std::function<void(int, const VmSnapshot&)> store_capture_fn(
     serialize_snapshot_into(state, state_holder->scratch);
     store.write_payload(proc, state_holder->scratch,
                         static_cast<double>(state_holder->counter++));
-  };
-}
-
-std::function<void(int, const VmSnapshot&)> async_store_capture_fn(
-    store::AsyncPersister& persister) {
-  // Freelist of snapshots cycling producer → queue → writer → producer.
-  // Copy-assigning into a recycled snapshot reuses every member vector's
-  // capacity, so a steady-state take allocates nothing; and because the
-  // writer RETURNS snapshots instead of freeing them, producer-allocated
-  // blocks are never released on a writer thread (which would route every
-  // subsequent capture allocation through the allocator's slow cross-
-  // thread path). The mutex hand-off doubles as the happens-before edge
-  // between the writer's last read of a snapshot and its reuse.
-  struct Pool {
-    std::mutex mu;
-    std::vector<std::unique_ptr<VmSnapshot>> free;
-  };
-  auto pool = std::make_shared<Pool>();
-  return [&persister, pool](int proc, const VmSnapshot& state) {
-    std::unique_ptr<VmSnapshot> snap;
-    {
-      const std::lock_guard<std::mutex> lock(pool->mu);
-      if (!pool->free.empty()) {
-        snap = std::move(pool->free.back());
-        pool->free.pop_back();
-      }
-    }
-    if (snap)
-      *snap = state;
-    else
-      snap = std::make_unique<VmSnapshot>(state);
-    persister.submit(
-        proc, [snap = std::move(snap), pool](std::string& out) mutable {
-          serialize_snapshot_into(*snap, out);
-          const std::lock_guard<std::mutex> lock(pool->mu);
-          pool->free.push_back(std::move(snap));
-        });
-  };
-}
-
-std::function<void(int, std::shared_ptr<const VmSnapshot>)>
-async_store_capture_shared_fn(store::AsyncPersister& persister) {
-  return [&persister](int proc, std::shared_ptr<const VmSnapshot> state) {
-    // The snapshot rides into the job closure; the writer thread owns the
-    // last reference once the engine's own copy (if any) is released.
-    persister.submit(proc, [state = std::move(state)](std::string& out) {
-      serialize_snapshot_into(*state, out);
-    });
   };
 }
 

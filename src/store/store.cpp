@@ -158,9 +158,7 @@ StableStore::StableStore(StorageModel model, CheckpointMode mode, int nprocs,
       since_full_(static_cast<size_t>(nprocs), 0),
       write_counts_(static_cast<size_t>(nprocs), 0),
       manifest_version_(static_cast<size_t>(nprocs), 0),
-      published_upto_(static_cast<size_t>(nprocs), 0),
-      unpublished_(static_cast<size_t>(nprocs), 0),
-      stale_pending_(static_cast<size_t>(nprocs), 0) {
+      published_upto_(static_cast<size_t>(nprocs), 0) {
   ACFC_CHECK_MSG(nprocs > 0, "store needs at least one process");
   ACFC_CHECK_MSG(model_.write_bandwidth > 0 && model_.read_bandwidth > 0,
                  "storage bandwidths must be positive");
@@ -230,7 +228,7 @@ WriteCost StableStore::write_checkpoint(int proc, long state_bytes,
   }
   records.push_back(record);
   note_write_obs(cost.bytes, cost.full_image);
-  note_write_for_publish(proc, publish_succeeds);
+  publish(proc, publish_succeeds);
   return cost;
 }
 
@@ -305,13 +303,12 @@ WriteCost StableStore::write_payload(int proc, std::string_view payload,
   // landed on disk: its in-memory state is authoritative.
   last.assign(payload);
   note_write_obs(cost.bytes, full);
-  note_write_for_publish(proc, publish_succeeds);
+  publish(proc, publish_succeeds);
   return cost;
 }
 
 std::optional<std::string> StableStore::restore_payload(int proc,
                                                         long ordinal) const {
-  sync_point();
   const auto& records = per_proc_.at(static_cast<size_t>(proc));
   const auto it = std::lower_bound(
       records.begin(), records.end(), ordinal,
@@ -339,49 +336,20 @@ std::optional<std::string> StableStore::restore_payload(int proc,
 
 std::optional<std::string> StableStore::restore_latest_payload(
     int proc) const {
-  sync_point();
   const RestoreScan scan = scan_restore(proc);
   if (scan.ordinal == 0) return std::nullopt;
   return restore_payload(proc, scan.ordinal);
 }
 
-void StableStore::set_manifest_batch(int every) {
-  ACFC_CHECK_MSG(every >= 1, "manifest batch must be >= 1");
-  manifest_batch_ = every;
-}
-
-void StableStore::note_write_for_publish(int proc, bool publish_succeeds) {
-  // A stale-manifest fault poisons the publish attempt that first covers
-  // this write — with batching that attempt may be several writes away.
-  if (!publish_succeeds) stale_pending_.at(static_cast<size_t>(proc)) = 1;
-  if (++unpublished_.at(static_cast<size_t>(proc)) < manifest_batch_) return;
-  attempt_publish(proc);
-}
-
-void StableStore::attempt_publish(int proc) {
+void StableStore::publish(int proc, bool publish_succeeds) {
   // Write-then-publish: the new manifest version is staged beside the old
   // one, then atomically swapped in. A failed publish (kStaleManifest)
   // leaves the previous version live — everything above published_upto_
-  // is invisible to restore until the next successful publish. Failure or
-  // not, the attempt consumes the batch window: the next write starts a
-  // fresh one.
-  unpublished_.at(static_cast<size_t>(proc)) = 0;
-  char& stale = stale_pending_.at(static_cast<size_t>(proc));
-  const bool ok = stale == 0;
-  stale = 0;
-  if (!ok) return;
+  // is invisible to restore until the next successful publish.
+  if (!publish_succeeds) return;
   ++manifest_version_.at(static_cast<size_t>(proc));
   published_upto_.at(static_cast<size_t>(proc)) =
       write_counts_.at(static_cast<size_t>(proc));
-}
-
-void StableStore::flush_manifests() {
-  for (size_t p = 0; p < per_proc_.size(); ++p)
-    if (unpublished_[p] > 0) attempt_publish(static_cast<int>(p));
-}
-
-void StableStore::set_read_barrier(std::function<void()> barrier) {
-  read_barrier_ = std::move(barrier);
 }
 
 void StableStore::set_obs(obs::Registry* registry) {
@@ -397,12 +365,9 @@ void StableStore::set_obs(obs::Registry* registry) {
                                           {"records", "store"});
   obs_.gc_reclaimed_bytes = &registry->counter("store.gc_reclaimed_bytes",
                                                {"bytes", "store"});
-  obs_.read_barrier_drains = &registry->counter("store.read_barrier_drains",
-                                                {"drains", "store"});
 }
 
 std::uint64_t StableStore::digest() const {
-  sync_point();
   std::uint64_t h = 0x5eedULL;
   for (size_t p = 0; p < per_proc_.size(); ++p) {
     for (const Record& r : per_proc_[p]) {
@@ -440,7 +405,6 @@ const StableStore::Record* StableStore::find_record(int proc,
 }
 
 bool StableStore::verify_record(int proc, long ordinal) const {
-  sync_point();
   const Record* record = find_record(proc, ordinal);
   if (record == nullptr) return false;  // collected or never written
   if (record->torn) return false;
@@ -452,7 +416,6 @@ bool StableStore::verify_record(int proc, long ordinal) const {
 }
 
 bool StableStore::chain_verifies(int proc, long ordinal) const {
-  sync_point();
   const auto& records = per_proc_.at(static_cast<size_t>(proc));
   const auto it = std::lower_bound(
       records.begin(), records.end(), ordinal,
@@ -469,7 +432,6 @@ bool StableStore::chain_verifies(int proc, long ordinal) const {
 }
 
 long StableStore::latest_valid_index(int proc) const {
-  sync_point();
   const auto& records = per_proc_.at(static_cast<size_t>(proc));
   for (auto it = records.rbegin(); it != records.rend(); ++it)
     if (chain_verifies(proc, it->ordinal)) return it->ordinal;
@@ -477,7 +439,6 @@ long StableStore::latest_valid_index(int proc) const {
 }
 
 StableStore::RestoreScan StableStore::scan_restore(int proc) const {
-  sync_point();
   RestoreScan scan;
   const auto& records = per_proc_.at(static_cast<size_t>(proc));
   for (auto it = records.rbegin(); it != records.rend(); ++it) {
@@ -498,7 +459,6 @@ StableStore::RestoreScan StableStore::scan_restore(int proc) const {
 }
 
 Manifest StableStore::manifest_of(int proc) const {
-  sync_point();
   Manifest manifest;
   manifest.proc = proc;
   manifest.version = manifest_version_.at(static_cast<size_t>(proc));
@@ -512,7 +472,6 @@ Manifest StableStore::manifest_of(int proc) const {
 }
 
 int StableStore::chain_length(int proc) const {
-  sync_point();
   const auto& records = per_proc_.at(static_cast<size_t>(proc));
   if (records.empty()) return 0;
   int length = 0;
@@ -524,14 +483,12 @@ int StableStore::chain_length(int proc) const {
 }
 
 double StableStore::restore_seconds(int proc) const {
-  sync_point();
   const auto& records = per_proc_.at(static_cast<size_t>(proc));
   if (records.empty()) return 0.0;
   return restore_seconds(proc, records.back().ordinal);
 }
 
 double StableStore::restore_seconds(int proc, long ordinal) const {
-  sync_point();
   const auto& records = per_proc_.at(static_cast<size_t>(proc));
   const auto it = std::lower_bound(
       records.begin(), records.end(), ordinal,
@@ -552,7 +509,6 @@ double StableStore::restore_seconds(int proc, long ordinal) const {
 }
 
 long StableStore::collect_garbage(int keep_last) {
-  sync_point();
   ACFC_CHECK_MSG(keep_last >= 1, "must keep at least one restore point");
   long reclaimed = 0;
   for (size_t p = 0; p < per_proc_.size(); ++p) {
@@ -587,7 +543,6 @@ long StableStore::collect_garbage(int keep_last) {
 }
 
 long StableStore::bytes_stored() const {
-  sync_point();
   long total = 0;
   for (size_t p = 0; p < per_proc_.size(); ++p)
     total += bytes_stored(static_cast<int>(p));
@@ -595,7 +550,6 @@ long StableStore::bytes_stored() const {
 }
 
 long StableStore::bytes_stored(int proc) const {
-  sync_point();
   long total = 0;
   for (const auto& r : per_proc_.at(static_cast<size_t>(proc)))
     total += r.bytes;
@@ -603,17 +557,14 @@ long StableStore::bytes_stored(int proc) const {
 }
 
 int StableStore::record_count(int proc) const {
-  sync_point();
   return static_cast<int>(per_proc_.at(static_cast<size_t>(proc)).size());
 }
 
 long StableStore::write_count(int proc) const {
-  sync_point();
   return write_counts_.at(static_cast<size_t>(proc));
 }
 
 std::vector<StableStore::Record> StableStore::records_of(int proc) const {
-  sync_point();
   return per_proc_.at(static_cast<size_t>(proc));
 }
 

@@ -162,44 +162,19 @@ class StableStore {
   /// The currently published manifest of `proc` (what restore would read).
   Manifest manifest_of(int proc) const;
 
-  /// Manifest publication batching: coalesce `every` writes into one
-  /// versioned republish instead of republishing after every
-  /// write_checkpoint / write_payload. Write-then-publish semantics and
-  /// the ACFM format are unchanged — records awaiting the next batched
-  /// publish are simply not yet visible to restore (verify_record fails on
-  /// them exactly as it does for a record hidden by a stale manifest).
-  /// 1 (the default) is the classic publish-per-write behavior.
-  void set_manifest_batch(int every);
-
-  /// Publishes any writes still awaiting a batched republish (one attempt
-  /// per process with a non-empty window). A pending kStaleManifest fault
-  /// makes that attempt fail, exactly as it would at a batch boundary.
-  /// No-op when every window is empty — in particular always a no-op with
-  /// manifest batching off.
-  void flush_manifests();
-
   /// Attaches an observability registry (docs/observability.md): bytes
-  /// written, full/delta record counts, GC reclaim, and read-barrier
-  /// drains flow into `store.*` metrics from then on. Handles are cached
-  /// at attach so the write path never takes the registry's registration
-  /// lock. nullptr detaches; the store never owns the registry.
+  /// written, full/delta record counts, and GC reclaim flow into `store.*`
+  /// metrics from then on. Handles are cached at attach so the write path
+  /// never takes the registry's registration lock. nullptr detaches; the
+  /// store never owns the registry.
   void set_obs(obs::Registry* registry);
-
-  /// Installs a barrier invoked at the top of every read-side operation
-  /// (restore/scan/verify/GC/digest/record accessors). An AsyncPersister
-  /// points this at its drain(), so readers transparently wait for every
-  /// submitted write to commit before observing the store; pass nullptr to
-  /// uninstall. The barrier must not itself call back into the store's
-  /// read API.
-  void set_read_barrier(std::function<void()> barrier);
 
   /// Order-and-content digest of everything a restore could observe: every
   /// live record's identity, flags, checksums, and encoded bytes, plus the
   /// published visibility horizon, folded per process in ordinal order.
-  /// Two stores with equal digests hold byte-identical record chains —
-  /// the equality the async-vs-sync differential tests assert. Manifest
-  /// version counters are deliberately excluded (they count publish
-  /// attempts, not content).
+  /// Two stores with equal digests hold byte-identical record chains — the
+  /// equality digest-pinned tests assert. Manifest version counters are
+  /// deliberately excluded (they count publish attempts, not content).
   std::uint64_t digest() const;
 
   /// Drops records not needed to restore any of the `keep_last` newest
@@ -235,21 +210,9 @@ class StableStore {
 
  private:
   const Record* find_record(int proc, long ordinal) const;
-  /// Accounts one completed write toward the manifest batch window and
-  /// publishes when the window fills (or immediately with batching off).
-  void note_write_for_publish(int proc, bool publish_succeeds);
-  /// One publish attempt: consumes the window; a pending stale fault makes
+  /// One publish attempt after a write; a stale fault on the write makes
   /// it fail, leaving the previous manifest version live.
-  void attempt_publish(int proc);
-  /// Read-side entry gate: lets an attached AsyncPersister drain before
-  /// this thread observes the store.
-  void sync_point() const {
-    if (read_barrier_) {
-      read_barrier_();
-      if (obs_.read_barrier_drains != nullptr)
-        obs_.read_barrier_drains->inc();
-    }
-  }
+  void publish(int proc, bool publish_succeeds);
   /// Accounts one completed write (shared by both write entry points).
   void note_write_obs(long bytes, bool full_image) {
     if (obs_.bytes_written == nullptr) return;
@@ -270,19 +233,12 @@ class StableStore {
   /// the live manifest covers (records above it are invisible to restore).
   std::vector<long> manifest_version_;
   std::vector<long> published_upto_;
-  /// Manifest batching: window size, per-process writes awaiting the next
-  /// publish attempt, and whether a stale fault poisoned that attempt.
-  int manifest_batch_ = 1;
-  std::vector<int> unpublished_;
-  std::vector<char> stale_pending_;
-  std::function<void()> read_barrier_;
   /// Cached metric handles (all null when no registry is attached).
   struct ObsHandles {
     obs::Counter* bytes_written = nullptr;
     obs::Counter* records_full = nullptr;
     obs::Counter* records_delta = nullptr;
     obs::Counter* gc_reclaimed_bytes = nullptr;
-    obs::Counter* read_barrier_drains = nullptr;
   };
   ObsHandles obs_;
 };

@@ -9,7 +9,8 @@
 //    (verify_stored_checkpoints = false) restores rotten storage and the
 //    recovery oracle MUST catch it — the oracle's teeth.
 //  * StoreWired: the same selection driven by a real StableStore through
-//    checkpoint_verify_fn instead of the declarative plan.
+//    checkpoint_verify_fn instead of the declarative plan — including a
+//    store that store_capture_fn fills with real payloads during the run.
 //  * LossyTransport: the reliable shim restores exactly-once FIFO delivery
 //    over a dropping/duplicating/reordering wire — bit-identical app
 //    digests vs the loss-free run, retransmit accounting, retry-cap
@@ -31,8 +32,10 @@
 #include "proto/protocols.h"
 #include "sim/montecarlo.h"
 #include "sim/recovery.h"
+#include "sim/snapshot_codec.h"
 #include "store/store.h"
 #include "trace/analysis.h"
+#include "workloads/workloads.h"
 
 namespace {
 
@@ -287,6 +290,46 @@ TEST(StoreWired, StableStoreDrivesDegradedSelection) {
   // degraded restore scan lands below it.
   EXPECT_FALSE(store.verify_record(1, 3));
   EXPECT_GT(store.latest_valid_index(1), 0);
+}
+
+TEST(StoreWired, CaptureFnStoreDrivesMidRunRollback) {
+  // Capture and verify share one live store: the rollback's
+  // checkpoint_verify_fn must see every take store_capture_fn wrote before
+  // the crash. The bit flip on (1, 2) rots the chain behind take 3, so the
+  // verify answers decide the restore point.
+  benchws::RingParams ring;
+  ring.iterations = 12;
+  ring.compute_cost = 2.0;
+  ring.checkpoint = true;
+  const mp::Program program = benchws::ring_exchange(ring);
+  store::StorageModel model;
+  model.full_every = 4;
+  store::StorageFaultPlan faults;
+  faults.faults = {store::StorageFaultPlan::bit_flip(1, 2)};
+  store::StableStore store(model, store::CheckpointMode::kIncremental, 4,
+                           faults);
+
+  sim::SimOptions opts;
+  opts.nprocs = 4;
+  opts.checkpoint_overhead = 0.3;
+  opts.recovery_overhead = 1.0;
+  opts.fault_plan.faults = {sim::FaultPlan::after_checkpoint(1, 3)};
+  opts.checkpoint_capture_fn = sim::store_capture_fn(store);
+  opts.checkpoint_verify_fn = store::checkpoint_verify_fn(store);
+
+  sim::Engine engine(program, opts);
+  const auto result = engine.run();
+  ASSERT_TRUE(result.trace.completed);
+  ASSERT_EQ(result.recoveries.size(), 1u);
+  const sim::RecoveryRec& rec = result.recoveries[0];
+  EXPECT_EQ(rec.failed_proc, 1);
+  EXPECT_TRUE(rec.degraded);
+  EXPECT_EQ(rec.corrupt_records_skipped, 1);
+  EXPECT_EQ(rec.fallback_depth, 1);
+  EXPECT_TRUE(trace::analyze_cut(result.trace, rec.cut).consistent);
+  EXPECT_FALSE(store.verify_record(1, 2));
+  EXPECT_EQ(store.write_count(1), 14);  // 12 takes + 2 re-takes
+  EXPECT_EQ(store.digest(), 0xb58f33d49ebb9a51ULL);
 }
 
 // ---------------------------------------------------------------------------

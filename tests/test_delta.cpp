@@ -1,13 +1,18 @@
 // ACFD delta-record codec and payload-backed StableStore coverage:
 // known-answer encodings, strict-decode rejection, chain-suffix
 // invalidation under corruption, GC anchor preservation, and the
-// snapshot-serializer capture wiring into the engine.
+// snapshot-serializer capture wiring into the engine (including per-run
+// stores under the parallel Monte-Carlo pool).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.h"
+#include "sim/fault.h"
+#include "sim/montecarlo.h"
 #include "sim/snapshot_codec.h"
 #include "store/delta.h"
 #include "store/store.h"
@@ -246,9 +251,9 @@ TEST(PayloadStore, GcKeepsFullRecordAnchors) {
 // Snapshot serialization and engine capture wiring
 // ---------------------------------------------------------------------------
 
-mp::Program capture_program() {
+mp::Program capture_program(int iterations = 6) {
   benchws::RingParams params;
-  params.iterations = 6;
+  params.iterations = iterations;
   params.compute_cost = 1.0;
   params.checkpoint = true;
   return benchws::ring_exchange(params);
@@ -268,6 +273,27 @@ TEST(SnapshotCapture, SerializationIsDeterministic) {
   }
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, second);
+}
+
+TEST(SnapshotCapture, ScratchSerializerMatchesFreshAllocations) {
+  // The reusable-scratch path store_capture_fn uses must encode
+  // byte-for-byte what a fresh serialize_snapshot returns.
+  const mp::Program program = capture_program();
+  std::vector<sim::VmSnapshot> snapshots;
+  sim::SimOptions opts;
+  opts.nprocs = 4;
+  opts.checkpoint_capture_fn = [&snapshots](int,
+                                            const sim::VmSnapshot& state) {
+    snapshots.push_back(state);
+  };
+  sim::Engine engine(program, opts);
+  engine.run();
+  ASSERT_FALSE(snapshots.empty());
+  std::string scratch = "stale contents from a previous take";
+  for (const sim::VmSnapshot& snap : snapshots) {
+    sim::serialize_snapshot_into(snap, scratch);
+    EXPECT_EQ(scratch, sim::serialize_snapshot(snap));
+  }
 }
 
 TEST(SnapshotCapture, StoreCaptureFnRoundTripsThroughTheStore) {
@@ -305,6 +331,96 @@ TEST(SnapshotCapture, StoreCaptureFnRoundTripsThroughTheStore) {
                 payloads[static_cast<std::size_t>(ordinal - 1)])
           << "proc " << proc << " ordinal " << ordinal;
     EXPECT_GT(store.bytes_stored(proc), 0);
+  }
+  EXPECT_EQ(store.digest(), 0xe442388d82eda2f9ULL);
+}
+
+/// Runs `program` on `store` with store_capture_fn as the capture hook.
+void run_into_store(const mp::Program& program, StableStore& store,
+                    int nprocs) {
+  sim::SimOptions opts;
+  opts.nprocs = nprocs;
+  opts.checkpoint_capture_fn = sim::store_capture_fn(store);
+  sim::Engine engine(program, opts);
+  ASSERT_TRUE(engine.run().trace.completed);
+}
+
+TEST(SnapshotCapture, StoreDigestsArePinnedAcrossWorldSizes) {
+  // Golden store bytes of the capture path: ordinals, write times, delta
+  // bases and the full/delta cadence all feed the digest.
+  const mp::Program program = capture_program(10);
+  const std::pair<int, std::uint64_t> kGolden[] = {
+      {2, 0x835463ee1cf67975ULL},
+      {4, 0x3f6197e647423519ULL},
+      {8, 0xd46abd0096341d00ULL},
+  };
+  for (const auto& [n, digest] : kGolden) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    StableStore store(tight_model(4), CheckpointMode::kIncremental, n);
+    run_into_store(program, store, n);
+    EXPECT_EQ(store.write_count(0), 10);
+    EXPECT_EQ(store.digest(), digest);
+  }
+}
+
+TEST(SnapshotCapture, StorageFaultsLandOnCaptureWriteOrdinals) {
+  // Faults target write ordinals, which the capture path numbers in take
+  // order: exactly the named records rot, and the stale manifest at
+  // (2, 3) heals when take 4 republishes.
+  const mp::Program program = capture_program(10);
+  store::StorageFaultPlan plan;
+  plan.faults.push_back(store::StorageFaultPlan::torn_write(0, 2));
+  plan.faults.push_back(store::StorageFaultPlan::bit_flip(1, 1));
+  plan.faults.push_back(store::StorageFaultPlan::stale_manifest(2, 3));
+  plan.faults.push_back(store::StorageFaultPlan::lost_manifest_entry(3, 2));
+  StableStore store(tight_model(4), CheckpointMode::kIncremental, 4, plan);
+  run_into_store(program, store, 4);
+  EXPECT_FALSE(store.verify_record(0, 2));
+  EXPECT_FALSE(store.verify_record(1, 1));
+  EXPECT_FALSE(store.verify_record(3, 2));
+  EXPECT_TRUE(store.verify_record(2, 3));
+  for (int p = 0; p < 4; ++p) EXPECT_EQ(store.latest_valid_index(p), 10);
+  EXPECT_EQ(store.digest(), 0x9593563091da6d27ULL);
+}
+
+TEST(SnapshotCapture, PerRunStoresAreBitIdenticalAcrossPoolSizes) {
+  // One store + engine per run, built inside the parallel_map body (the
+  // per-run-resources rule of sim::run_batch): the parallel batch must
+  // reproduce the serial batch bit for bit — store digests and execution
+  // digests alike, crash-and-retake runs included.
+  const mp::Program program = capture_program();
+  struct RunDigests {
+    std::uint64_t store = 0;
+    std::vector<std::uint64_t> exec;
+    bool completed = false;
+  };
+  auto one_run = [&program](long index) {
+    sim::SimOptions opts;
+    opts.nprocs = 3 + static_cast<int>(index % 6);
+    opts.seed = sim::run_seed(7, index);
+    opts.compute_jitter = static_cast<double>(index % 3) * 0.2;
+    opts.checkpoint_overhead = 0.25;
+    opts.recovery_overhead = 1.0;
+    if (index % 3 == 0)
+      opts.fault_plan.faults.push_back(sim::FaultPlan::after_checkpoint(
+          static_cast<int>(index) % opts.nprocs, 1));
+    StableStore store(tight_model(4), CheckpointMode::kIncremental,
+                      opts.nprocs);
+    opts.checkpoint_capture_fn = sim::store_capture_fn(store);
+    sim::Engine engine(program, opts);
+    const auto result = engine.run();
+    return RunDigests{store.digest(), result.trace.final_digest,
+                      result.trace.completed};
+  };
+  const long kRuns = 24;
+  const auto serial = sim::parallel_map(kRuns, sim::McOptions{1}, one_run);
+  const auto parallel = sim::parallel_map(kRuns, sim::McOptions{4}, one_run);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    SCOPED_TRACE("run " + std::to_string(i));
+    EXPECT_TRUE(serial[i].completed);
+    EXPECT_EQ(serial[i].store, parallel[i].store);
+    EXPECT_EQ(serial[i].exec, parallel[i].exec);
   }
 }
 

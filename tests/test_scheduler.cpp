@@ -1,13 +1,16 @@
-// Differential coverage for the calendar-queue event core: the new
-// scheduler must pop the exact (time, seq) sequence the legacy
-// std::priority_queue core pops, so every observable of a run —
-// final digest, event counts, end time, per-channel counters, recovery
-// history — is bit-identical with `SimOptions::legacy_scheduler` on and
-// off. A fast grid runs in tier 1; the 200-program generated corpus
-// (with fault plans, serial and parallel) runs in the slow tier.
+// Golden coverage for the engine's calendar-queue event core. Each engine
+// test pins a fingerprint of every observable a scheduler change could
+// move — final digest, end time, trace sizes, event and checkpoint counts,
+// per-channel counters, recovery history — to values recorded while the
+// engine also had a std::priority_queue core and both cores agreed. A fast
+// grid runs in tier 1; the 200-program generated corpus (with fault
+// plans, serial and parallel) runs in the slow tier. The queue itself
+// stays differentially tested against std::priority_queue below
+// (SchedulerQueueProperty).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <queue>
 #include <string>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "sim/engine.h"
 #include "sim/fault.h"
 #include "sim/montecarlo.h"
+#include "util/checksum.h"
 #include "util/rng.h"
 #include "workloads/workloads.h"
 
@@ -24,31 +28,39 @@ namespace {
 
 using namespace acfc;
 
-sim::SimResult run_with(const mp::Program& program, sim::SimOptions opts,
-                        bool legacy) {
-  opts.legacy_scheduler = legacy;
-  sim::Engine engine(program, opts);
-  return engine.run();
+/// Folds every scheduler-determined observable of a run into 64 bits.
+/// Doubles hash by their bit pattern and vectors by length then content,
+/// so two runs share a fingerprint only if they agree bitwise.
+std::uint64_t fingerprint(const sim::SimResult& r) {
+  util::Checksum64 h(0x5c4ed);
+  auto scalar = [&h](auto v) { h.update(&v, sizeof v); };
+  auto vec = [&h, &scalar](const auto& v) {
+    scalar(static_cast<std::uint64_t>(v.size()));
+    h.update(v.data(), v.size() * sizeof v[0]);
+  };
+  vec(r.trace.final_digest);
+  scalar(r.trace.end_time);
+  scalar(static_cast<std::uint64_t>(r.trace.events.size()));
+  scalar(static_cast<std::uint64_t>(r.trace.messages.size()));
+  scalar(static_cast<std::uint64_t>(r.trace.checkpoints.size()));
+  scalar(r.stats.events_processed);
+  scalar(r.stats.app_messages);
+  scalar(r.stats.statement_checkpoints);
+  scalar(r.stats.forced_checkpoints);
+  vec(r.final_sends);
+  vec(r.final_recvs);
+  scalar(static_cast<std::uint64_t>(r.recoveries.size()));
+  for (const sim::RecoveryRec& rec : r.recoveries) {
+    scalar(rec.fail_time);
+    scalar(rec.failed_proc);
+  }
+  return h.finish();
 }
 
-/// Every observable the two schedulers must agree on, bitwise.
-void expect_identical(const sim::SimResult& a, const sim::SimResult& b) {
-  EXPECT_EQ(a.trace.final_digest, b.trace.final_digest);
-  EXPECT_EQ(a.trace.end_time, b.trace.end_time);
-  EXPECT_EQ(a.trace.events.size(), b.trace.events.size());
-  EXPECT_EQ(a.trace.messages.size(), b.trace.messages.size());
-  EXPECT_EQ(a.trace.checkpoints.size(), b.trace.checkpoints.size());
-  EXPECT_EQ(a.stats.events_processed, b.stats.events_processed);
-  EXPECT_EQ(a.stats.app_messages, b.stats.app_messages);
-  EXPECT_EQ(a.stats.statement_checkpoints, b.stats.statement_checkpoints);
-  EXPECT_EQ(a.stats.forced_checkpoints, b.stats.forced_checkpoints);
-  EXPECT_EQ(a.final_sends, b.final_sends);
-  EXPECT_EQ(a.final_recvs, b.final_recvs);
-  EXPECT_EQ(a.recoveries.size(), b.recoveries.size());
-  for (std::size_t i = 0; i < a.recoveries.size(); ++i) {
-    EXPECT_EQ(a.recoveries[i].fail_time, b.recoveries[i].fail_time);
-    EXPECT_EQ(a.recoveries[i].failed_proc, b.recoveries[i].failed_proc);
-  }
+std::uint64_t run_fingerprint(const mp::Program& program,
+                              const sim::SimOptions& opts) {
+  sim::Engine engine(program, opts);
+  return fingerprint(engine.run());
 }
 
 // ---------------------------------------------------------------------------
@@ -56,11 +68,17 @@ void expect_identical(const sim::SimResult& a, const sim::SimResult& b) {
 // ---------------------------------------------------------------------------
 
 TEST(Scheduler, MatchesLegacyOnRingGrid) {
+  constexpr std::uint64_t kGolden[] = {
+      0x4d2cabb2a8fbe45bULL, 0x1d3d9627ed2facc0ULL, 0x44c2be8d6dde7a61ULL,
+      0xf5eabc76d9e8755aULL, 0x6b2d23b86fa27d5dULL, 0xe352614f4a6c0cacULL,
+      0xb483a7a881ad8b68ULL, 0x88f33352aec26affULL,
+  };
   benchws::RingParams params;
   params.iterations = 8;
   params.compute_cost = 2.0;
   params.checkpoint = true;
   const mp::Program program = benchws::ring_exchange(params);
+  std::size_t i = 0;
   for (const int n : {2, 5, 8, 16}) {
     for (const double jitter : {0.0, 0.3}) {
       sim::SimOptions opts;
@@ -69,8 +87,7 @@ TEST(Scheduler, MatchesLegacyOnRingGrid) {
       opts.seed = 11 + static_cast<std::uint64_t>(n);
       SCOPED_TRACE("n=" + std::to_string(n) +
                    " jitter=" + std::to_string(jitter));
-      expect_identical(run_with(program, opts, false),
-                       run_with(program, opts, true));
+      EXPECT_EQ(run_fingerprint(program, opts), kGolden[i++]);
     }
   }
 }
@@ -84,11 +101,11 @@ TEST(Scheduler, MatchesLegacyOnDominoWithFaults) {
   opts.recovery_overhead = 2.0;
   opts.fault_plan.faults.push_back(sim::FaultPlan::after_checkpoint(2, 2));
   opts.fault_plan.faults.push_back(sim::FaultPlan::after_events(4, 150));
-  const auto a = run_with(program, opts, false);
-  const auto b = run_with(program, opts, true);
+  sim::Engine engine(program, opts);
+  const auto result = engine.run();
   // The plan must actually fire for this test to mean anything.
-  ASSERT_FALSE(a.recoveries.empty());
-  expect_identical(a, b);
+  ASSERT_FALSE(result.recoveries.empty());
+  EXPECT_EQ(fingerprint(result), 0x8ea61f54bedd80eaULL);
 }
 
 TEST(Scheduler, MatchesLegacyUnderTimedFaultAndSparseTimes) {
@@ -105,8 +122,7 @@ TEST(Scheduler, MatchesLegacyUnderTimedFaultAndSparseTimes) {
   opts.checkpoint_overhead = 1.0;
   opts.recovery_overhead = 5.0;
   opts.fault_plan.faults.push_back(sim::FaultPlan::at_time(1, 120.0));
-  expect_identical(run_with(program, opts, false),
-                   run_with(program, opts, true));
+  EXPECT_EQ(run_fingerprint(program, opts), 0xb26498e49c5a9293ULL);
 }
 
 // ---------------------------------------------------------------------------
@@ -147,20 +163,90 @@ sim::SimOptions corpus_options(int index) {
   return opts;
 }
 
+/// Fingerprints of the corpus runs, index-major, misalign off then on.
+constexpr std::uint64_t kCorpusGolden[] = {
+    0x96a2fd03356e0e64ULL, 0x96a2fd03356e0e64ULL, 0x2a802ee5a8cd5ef6ULL,
+    0xd21ae6102974657fULL, 0xa0168d48cf40dfcfULL, 0x01246713bd84a0fcULL,
+    0x41f696f47b442486ULL, 0x3c0f3c1a2f875c4fULL, 0x7c9f126493ebf55fULL,
+    0x1041e0f2c416292fULL, 0x5b7b2d657426d57aULL, 0x5b7b2d657426d57aULL,
+    0x6bf21f5d74f55ff3ULL, 0x935fc2a683c608f7ULL, 0x2009145a334608d3ULL,
+    0x2a910cfeeb43c88cULL, 0x2470a4976fe093bcULL, 0x1d15b05d3259fb0fULL,
+    0x7e24e635abd921feULL, 0x7eb4fbe1d6a836c0ULL, 0xf9ca68be2cd84e6dULL,
+    0xf9ca68be2cd84e6dULL, 0xb819d6d9726cecfdULL, 0xb819d6d9726cecfdULL,
+    0x20fec2a2659436beULL, 0x06a088c3eeff466cULL, 0x1a245b258ff69611ULL,
+    0xa830bb0866db849cULL, 0x1ffd25edc8531161ULL, 0x67ecdef0d1efa8edULL,
+    0xa3f562efe7456798ULL, 0xaa024f0dd96ec2afULL, 0x78323a9095b0b02dULL,
+    0xc940d23063677061ULL, 0x9dc446a3d45f84cfULL, 0xd49821fcd2406704ULL,
+    0x9199c3dabc22b0bdULL, 0xd4cabd86aca78f65ULL, 0xd9e0b35bf1ad8b97ULL,
+    0x9cf83295fc001b55ULL, 0x1d7f2034f1167167ULL, 0x1d7f2034f1167167ULL,
+    0x5b278ce345695e9eULL, 0x5b278ce345695e9eULL, 0x415d2f22060db715ULL,
+    0x415d2f22060db715ULL, 0xc4ba1edb9277a20bULL, 0x57d4cce7715f1f51ULL,
+    0xa21eb4ff069fec2fULL, 0x7ea123ac927abc66ULL, 0x51f9ce14bbcecea5ULL,
+    0x51f9ce14bbcecea5ULL, 0x02161abae99faeddULL, 0x93bf46fe74bf7f57ULL,
+    0x97dce8a3a8804b26ULL, 0xfffa90bd760b22cbULL, 0x167f5f3ba23774a3ULL,
+    0x71e6f8262ef073ceULL, 0x9468ea0d873529e2ULL, 0xc5591fb89a5f306eULL,
+    0xe6e2f53df3ece3b0ULL, 0x3e418b3556aeebbaULL, 0xfc3351c124813be9ULL,
+    0x57dca9443e5de843ULL, 0x0d4fa2f0320cc0e1ULL, 0xe7425d18b44903f7ULL,
+    0xfe9bb3b964624f5eULL, 0x8d6c6d6dc3aa3758ULL, 0x59cf397b4813deb2ULL,
+    0x4475e5287285cb65ULL, 0x83d88dcce709c11aULL, 0x83d88dcce709c11aULL,
+    0x2703bf3794ba330bULL, 0x55a98facc2e8733aULL, 0x4caf706fdd8f8b25ULL,
+    0x68c446a2a2a5e5b8ULL, 0x9f03c32a995e98a6ULL, 0xcd447447424fd100ULL,
+    0x6ea26f8a19b90acbULL, 0x3ffb078f2e3474fbULL, 0xe8597a170722038bULL,
+    0x827e3cfbbc437a69ULL, 0xbbde47c11cb4685dULL, 0x6ad78f24066474cbULL,
+    0x0cff346e9d60dd43ULL, 0x5be7f05bc1b8e86aULL, 0xa655465b6c8c130eULL,
+    0xd4c52adaf6d6ae26ULL, 0x627bec6ed66bab3eULL, 0x627bec6ed66bab3eULL,
+    0x5cd5194e8b37e56bULL, 0xd064aaf72362baf3ULL, 0x6404b0f1f534c379ULL,
+    0xbbf8b7be0a0e768eULL, 0xc93aa0bc07ef8226ULL, 0x01f020e3d7cddf73ULL,
+    0x87ef8d9ebb4eaa37ULL, 0x87ef8d9ebb4eaa37ULL, 0x4ac852db3ca7b687ULL,
+    0xc17a32836931d476ULL, 0x945ce2662eebae6fULL, 0x945ce2662eebae6fULL,
+    0x5fc2f13e151f5c69ULL, 0x30f3b1fff42ccaffULL, 0x589e0dd2eecbc37fULL,
+    0x7869d21e9bd8a10bULL, 0x76e839dcf7821e00ULL, 0x2e42a5d6995c9ca5ULL,
+    0x25c0c99a2d7a424dULL, 0x5a5286f74046a4f5ULL, 0x477ba356ffd53beaULL,
+    0xced0220390f98f06ULL, 0xab204976fbc32c39ULL, 0x0e21d0a6b0fd16ecULL,
+    0xb44b16b7855da49fULL, 0xb44b16b7855da49fULL, 0xba1cdf535bb0f458ULL,
+    0xc69ce3acf5dff077ULL, 0xb20246f03aa0f2adULL, 0xb20246f03aa0f2adULL,
+    0x6a6968eac564f31bULL, 0x2ecf7983c6b3f208ULL, 0x3e9daa9dca2993d5ULL,
+    0xf2004dde99dc4bc6ULL, 0xb5d600b671f287d3ULL, 0xb4b67477cdee1f9cULL,
+    0x3e0e017212771996ULL, 0xf1ffec65b7c86747ULL, 0xb13c0d4968119e7cULL,
+    0x1bed03d6ffb9619cULL, 0xece3e1b5e5f73ab6ULL, 0xc6f8bdf3f17c966bULL,
+    0x2eec24d7702c658dULL, 0xda8768e29de37cb3ULL, 0xe326055010cb1a17ULL,
+    0x6535d7d92ce21984ULL, 0xea6f59e7f6aae9c4ULL, 0x855171e3932d8905ULL,
+    0x782b65f9b793cfcdULL, 0xfd350dd9dda067b6ULL, 0xcfcf7f4bc6271b92ULL,
+    0x1beb554f00a4310eULL, 0x94204f9515235856ULL, 0x14eae0ed987bb194ULL,
+    0x931782857dcf51e6ULL, 0x40efcfefcf1bc8f5ULL, 0x6b8c52fb083257e0ULL,
+    0x46b9ce2cf108787cULL, 0x647220e1152f1e9aULL, 0x992f71826c5021a4ULL,
+    0x3b10803a7379d33bULL, 0xc74193345973c225ULL, 0xb1a0a9d5cabd9d5dULL,
+    0x975b1e75fd306f49ULL, 0x2c750b55e8ccf642ULL, 0x7f606f4b52875b84ULL,
+    0x680aa97342305aeaULL, 0xf6a6f8e2f7ca64fcULL, 0xe3c80356578b40b8ULL,
+    0x3ee6a99b3eecc6f6ULL, 0xee0e9c77b628c744ULL, 0x15d77eca36b9b050ULL,
+    0x5e4a5ab33bbda36fULL, 0x6107bf828ce198bcULL, 0x33c23dc9e05035daULL,
+    0xb6e6e042d0f8ebb5ULL, 0xd9985c03d5d5fe94ULL, 0x8c60cb28b7445456ULL,
+    0xec0f2932bcd21f11ULL, 0x11613f05e2559d72ULL, 0xd5e340b2b3c146b2ULL,
+    0xd5e340b2b3c146b2ULL, 0x93f872c6147fe622ULL, 0x93f872c6147fe622ULL,
+    0x27a8993931bd884eULL, 0x8a75b529ee709900ULL, 0x107856f18c444d0cULL,
+    0x82e1add55390c08cULL, 0x128913665ea1cf0aULL, 0x128913665ea1cf0aULL,
+    0xa23bc4fdb3b9fb8fULL, 0x37c4a37484df0f61ULL, 0xbbc8401ff3f5af13ULL,
+    0xf53bd934cf3bc3ceULL, 0xa20acc7557b7a6daULL, 0xa20acc7557b7a6daULL,
+    0x7fc6c7e30d77dd57ULL, 0xe70e65573feda648ULL, 0x954bfc38f0b50841ULL,
+    0x4e05a2f983c544ccULL, 0x388d0f32fcc0b4c3ULL, 0x388d0f32fcc0b4c3ULL,
+    0x16a6c099b04393e5ULL, 0x16a6c099b04393e5ULL, 0xd1a3cc890edc05afULL,
+    0xccc94e94e06f9700ULL, 0x8783e99497937c62ULL, 0x430aa96120145647ULL,
+    0xb365de2358499d19ULL, 0x191cffeaf4672bf4ULL,
+};
+
 TEST(SchedulerCorpusSlow, MatchesLegacyOn200Programs) {
-  int programs = 0;
+  std::size_t programs = 0;
   for (int index = 0; index < 100; ++index) {
     for (const bool misalign : {false, true}) {
       const mp::Program program = corpus_program(index, misalign);
-      const sim::SimOptions opts = corpus_options(index);
       SCOPED_TRACE("index=" + std::to_string(index) +
                    " misalign=" + std::to_string(misalign));
-      expect_identical(run_with(program, opts, false),
-                       run_with(program, opts, true));
+      EXPECT_EQ(run_fingerprint(program, corpus_options(index)),
+                kCorpusGolden[programs]);
       ++programs;
     }
   }
-  EXPECT_GE(programs, 200);
+  EXPECT_EQ(programs, std::size(kCorpusGolden));
 }
 
 // ---------------------------------------------------------------------------
@@ -256,25 +342,30 @@ TEST(SchedulerQueueProperty, BurstThenSparseDrainMatches) {
 }
 
 TEST(SchedulerCorpusSlow, ParallelBatchMatchesLegacySerialBatch) {
-  // The full cross product: calendar-parallel vs legacy-serial. Any
-  // scheduler divergence OR any pool nondeterminism breaks the digests.
+  // Parallel vs serial batch, both against the golden fingerprints. Any
+  // scheduler drift OR any pool nondeterminism breaks the match.
+  constexpr std::uint64_t kGolden[] = {
+      0xb471013f56e9c479ULL, 0xb18fdc54610e7f1aULL, 0x1fc39d4cc214bcaeULL,
+      0xf7d9196b16b52aadULL, 0x36e70beaa4ce2359ULL, 0x2d5bea21d1beadf7ULL,
+      0xb471013f56e9c479ULL, 0x34f05625123bc9a5ULL, 0x061a3693306c9cd6ULL,
+      0xf7d9196b16b52aadULL, 0x734b53bf270017a9ULL, 0xcc4ac5674280c701ULL,
+      0xb471013f56e9c479ULL, 0x3b2576600fda2cceULL, 0x18a638665e1eea20ULL,
+      0xf7d9196b16b52aadULL, 0xdfddf193187dbb35ULL, 0x677cab53cf5f0964ULL,
+      0xb471013f56e9c479ULL, 0xdf75f9ca341fcbd7ULL, 0x22405a666e787bedULL,
+      0xf7d9196b16b52aadULL, 0x59b6a1c981fa548fULL, 0xf342dcb9ca9ed1aeULL,
+  };
   const mp::Program program = benchws::domino_exchange(8, 4.0);
-  std::vector<sim::SimOptions> calendar, legacy;
-  for (int index = 0; index < 24; ++index) {
-    sim::SimOptions opts = corpus_options(index);
-    opts.legacy_scheduler = false;
-    calendar.push_back(opts);
-    opts.legacy_scheduler = true;
-    legacy.push_back(opts);
-  }
-  const auto fast =
-      sim::run_batch(program, calendar, sim::McOptions{4});
-  const auto slow =
-      sim::run_batch(program, legacy, sim::McOptions{1});
-  ASSERT_EQ(fast.size(), slow.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
+  std::vector<sim::SimOptions> configs;
+  for (int index = 0; index < 24; ++index)
+    configs.push_back(corpus_options(index));
+  const auto parallel = sim::run_batch(program, configs, sim::McOptions{4});
+  const auto serial = sim::run_batch(program, configs, sim::McOptions{1});
+  ASSERT_EQ(parallel.size(), std::size(kGolden));
+  ASSERT_EQ(serial.size(), std::size(kGolden));
+  for (std::size_t i = 0; i < parallel.size(); ++i) {
     SCOPED_TRACE("run " + std::to_string(i));
-    expect_identical(fast[i], slow[i]);
+    EXPECT_EQ(fingerprint(parallel[i]), fingerprint(serial[i]));
+    EXPECT_EQ(fingerprint(serial[i]), kGolden[i]);
   }
 }
 

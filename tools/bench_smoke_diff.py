@@ -13,11 +13,11 @@ written to disk), and compares the fresh events/s + ckpts/s maps against
 the committed BENCH_sim.json via tools/bench_diff.py's compare().
 
 Short measurements on a loaded CI core are noisy, so the default
-threshold is deliberately loose (50%): the test catches "the async
-pipeline lost its speedup" or "a refactor halved engine throughput", not
-single-digit drift. Wall-clock benchmarks (UseRealTime — the parallel
-Fig8 sweeps) are excluded entirely: their smoke-grade numbers measure
-scheduler contention on the CI core, not the code. Benchmarks present on
+threshold is deliberately loose (50%): the test catches "checkpoint
+capture lost half its throughput" or "a refactor halved engine
+throughput", not single-digit drift. Wall-clock benchmarks (UseRealTime —
+the parallel Fig8 sweeps) are excluded entirely: their smoke-grade
+numbers measure scheduler contention on the CI core, not the code. Benchmarks present on
 only one side never fail the check. Standard library only.
 """
 

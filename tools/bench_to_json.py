@@ -31,7 +31,6 @@ Two suites:
       "events_per_s": {"BM_SimulateRing/8": 5.1e6, ...},
       "ckpts_per_s": {"BM_CheckpointCapture/1": ..., ...},
       "parallel_speedup": {"Fig8Sweep/4": 1.9, ...},   # vs Fig8SweepSerial
-      "async_capture_speedup": {"AsyncCapture/32": 1.6, ...},  # arm2/arm1
       "recovery": {                           # fault-injected sweeps, per
         "appl-driven": {"recovery_latency_s": ...,     # protocol baseline
                          "lost_work_s": ..., "rollback_distance": ...,
@@ -230,19 +229,6 @@ def condense_sim(raw, recovery_raw, degraded_raw, partition_raw, baseline):
                 parallel_speedup["Fig8Sweep/%s" % threads] = round(
                     serial_ns / ns, 2)
 
-    # Async persistence pipeline: critical-path events/s of asynchronous
-    # capture (arm 2) over synchronous capture (arm 1) at each world size.
-    async_capture_speedup = {}
-    for name, rate in events.items():
-        base, _, arg = name.partition("/")
-        if base != "BM_AsyncCapture" or not arg.startswith("2/"):
-            continue
-        nprocs = arg[len("2/"):]
-        sync = events.get("BM_AsyncCapture/1/%s" % nprocs)
-        if sync:
-            async_capture_speedup["AsyncCapture/%s" % nprocs] = round(
-                rate / sync, 2)
-
     doc = {
         "benchmark": "ablate_sim_throughput",
         "context": raw.get("context", {}),
@@ -250,7 +236,6 @@ def condense_sim(raw, recovery_raw, degraded_raw, partition_raw, baseline):
         "events_per_s": events,
         "ckpts_per_s": ckpts,
         "parallel_speedup": parallel_speedup,
-        "async_capture_speedup": async_capture_speedup,
     }
     if recovery_raw:
         doc["recovery"] = extract_per_protocol(recovery_raw,
@@ -320,7 +305,6 @@ def main():
         doc = condense_sim(raw, extra_raw["recovery"], extra_raw["degraded"],
                            extra_raw["partition"], baseline)
         ratios = dict(doc["parallel_speedup"])
-        ratios.update(doc.get("async_capture_speedup", {}))
         ratios.update(doc.get("events_per_s_speedup", {}))
 
     with open(out, "w") as f:

@@ -13,7 +13,7 @@ checks, with only the stdlib json module as the oracle:
     like a metric ({"metric", "kind", "layer", "unit", ...}) or a span
     ({"span", "track", "ts_us", "dur_us", "depth"});
   * every instrumented layer actually emitted (engine, transport,
-    calqueue, store, persist) and the marquee metric of each is present;
+    calqueue, store) and the marquee metric of each is present;
   * <prefix>.trace.json — loads as one JSON document with a traceEvents
     array of chrome://tracing events carrying both complete spans ("X")
     and counter samples ("C"), each with the fields about:tracing needs.
@@ -34,9 +34,8 @@ REQUIRED_METRICS = (
     "transport.retransmits",
     "calqueue.size_high_water",
     "store.bytes_written",
-    "persist.submitted",
 )
-REQUIRED_LAYERS = {"engine", "transport", "calqueue", "store", "persist"}
+REQUIRED_LAYERS = {"engine", "transport", "calqueue", "store"}
 METRIC_KINDS = {"counter", "gauge", "histogram"}
 
 
