@@ -8,11 +8,17 @@
 // wall-clock speedup of BM_Fig8Sweep/T over BM_Fig8SweepSerial.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <optional>
+
 #include "obs/metrics.h"
 #include "sim/montecarlo.h"
 #include "sim/snapshot_codec.h"
+#include "store/delta.h"
 #include "store/store.h"
 #include "trace/analysis.h"
+#include "util/checksum.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -168,6 +174,109 @@ BENCHMARK(BM_AsyncCapture)
     ->Args({0, 32})
     ->Args({1, 32})
     ->Args({3, 32});
+
+// Where a synchronous capture's time goes, stage by stage: the takes of
+// one BM_AsyncCapture ring run at n = range(0) are recorded once, outside
+// the timing, then every iteration replays all of them through each stage
+// in its own pass:
+//   serialize  serialize_snapshot_into a reused scratch buffer
+//   encode     encode_{full,delta}_record_into a reused scratch: a delta
+//              against the process's previous take with the store's
+//              shrink limit, else a full record (seal included)
+//   seal       the seal alone: one streaming XXH64 pass over each record
+//              that yields its trailer and its whole-record checksum
+//   commit     StableStore::write_payload of every payload into a fresh
+//              incremental store (encode and seal again, the record copy,
+//              the delta-base update and the manifest publish)
+// Counters are ns per take; seal is part of encode and encode of commit.
+void BM_CaptureStages(benchmark::State& state) {
+  benchws::RingParams params;
+  params.iterations = 64;
+  params.compute_cost = 1.0;
+  params.checkpoint = true;
+  const mp::Program program = benchws::ring_exchange(params);
+  const int nprocs = static_cast<int>(state.range(0));
+  std::vector<std::pair<int, sim::VmSnapshot>> takes;
+  {
+    sim::SimOptions opts;
+    opts.nprocs = nprocs;
+    opts.keep_snapshots = false;
+    opts.checkpoint_capture_fn = [&takes](int proc,
+                                          const sim::VmSnapshot& snap) {
+      takes.emplace_back(proc, snap);
+    };
+    sim::Engine engine(program, opts);
+    engine.run();
+  }
+  std::vector<std::string> payloads;
+  for (const auto& take : takes)
+    payloads.push_back(sim::serialize_snapshot(take.second));
+  std::vector<std::string> records(takes.size());
+  std::vector<const std::string*> previous(static_cast<std::size_t>(nprocs));
+
+  using Clock = std::chrono::steady_clock;
+  auto ns_since = [](Clock::time_point start) {
+    return static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                             start)
+            .count());
+  };
+  double serialize_ns = 0, encode_ns = 0, seal_ns = 0, commit_ns = 0;
+  std::string scratch;
+  for (auto _ : state) {
+    auto start = Clock::now();
+    for (const auto& take : takes) {
+      sim::serialize_snapshot_into(take.second, scratch);
+      benchmark::DoNotOptimize(scratch.data());
+    }
+    serialize_ns += ns_since(start);
+
+    std::fill(previous.begin(), previous.end(), nullptr);
+    start = Clock::now();
+    for (std::size_t i = 0; i < takes.size(); ++i) {
+      const std::string& payload = payloads[i];
+      const std::string*& prev =
+          previous[static_cast<std::size_t>(takes[i].first)];
+      std::optional<std::uint64_t> sum;
+      if (prev != nullptr)
+        sum = store::encode_delta_record_into(
+            records[i], *prev, payload,
+            payload.size() + store::kRecordFramingBytes);
+      if (!sum) sum = store::encode_full_record_into(records[i], payload);
+      benchmark::DoNotOptimize(*sum);
+      prev = &payload;
+    }
+    encode_ns += ns_since(start);
+
+    start = Clock::now();
+    for (const std::string& record : records) {
+      util::Checksum64 hash;
+      hash.update(record.data(), record.size() - 8);
+      benchmark::DoNotOptimize(hash.finish());
+      hash.update(record.data() + record.size() - 8, 8);
+      benchmark::DoNotOptimize(hash.finish());
+    }
+    seal_ns += ns_since(start);
+
+    store::StableStore stable(store::StorageModel{},
+                              store::CheckpointMode::kIncremental, nprocs);
+    start = Clock::now();
+    for (std::size_t i = 0; i < takes.size(); ++i)
+      stable.write_payload(takes[i].first, payloads[i],
+                           static_cast<double>(i));
+    commit_ns += ns_since(start);
+    benchmark::DoNotOptimize(stable.bytes_stored());
+  }
+  const double per_take =
+      static_cast<double>(state.iterations()) *
+      static_cast<double>(std::max<std::size_t>(takes.size(), 1));
+  state.counters["serialize_ns"] = serialize_ns / per_take;
+  state.counters["encode_ns"] = encode_ns / per_take;
+  state.counters["seal_ns"] = seal_ns / per_take;
+  state.counters["commit_ns"] = commit_ns / per_take;
+  state.counters["takes"] = static_cast<double>(takes.size());
+}
+BENCHMARK(BM_CaptureStages)->Arg(8)->Arg(32);
 
 // Observability overhead on the BM_SimulateRing hot path. Arms:
 //   /0  obs detached (SimOptions::obs == nullptr — the shipping default;

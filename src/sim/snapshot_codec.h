@@ -12,10 +12,12 @@
 //
 // store_capture_fn packages the serializer as the engine's capture hook
 // (SimOptions::checkpoint_capture_fn): it serializes every take inline
-// and writes it into a StableStore via write_payload. A per-closure
-// scratch buffer is reused across takes, so steady-state serialization
-// allocates nothing. The store must outlive the returned function and
-// belong to a single Engine run.
+// and writes it into a StableStore via write_payload. The serializer
+// writes into a per-closure scratch buffer and the store encodes into its
+// own, so once both have warmed up a take makes one allocation: the
+// stored record, an exact-size copy of the encoded bytes (besides the
+// amortized growth of the store's record list). The store must
+// outlive the returned function and belong to a single Engine run.
 #pragma once
 
 #include <functional>
@@ -33,9 +35,10 @@ namespace acfc::sim {
 /// loop_value / loop_hi per frame).
 std::string serialize_snapshot(const VmSnapshot& snapshot);
 
-/// In-place variant: clears `out` and writes the canonical encoding into
-/// it. Callers that persist many snapshots reuse one scratch buffer and
-/// pay zero allocations per take once it has warmed up.
+/// In-place variant: replaces `out` with the canonical encoding, sized
+/// exactly up front and written field by field through a cursor. Callers
+/// that persist many snapshots reuse one scratch buffer and pay no
+/// allocation per take once it has warmed up.
 void serialize_snapshot_into(const VmSnapshot& snapshot, std::string& out);
 
 /// A SimOptions::checkpoint_capture_fn that serializes every captured

@@ -15,17 +15,26 @@ constexpr std::uint8_t kOpCopy = 0;
 constexpr std::uint8_t kOpLiteral = 1;
 /// magic + format + kind + payload_len + base_check.
 constexpr std::size_t kHeaderBytes = 4 + 4 + 1 + 8 + 8;
+constexpr std::size_t kTrailerBytes = 8;
+static_assert(kHeaderBytes + kTrailerBytes == kRecordFramingBytes);
+/// op byte + offset + length; a literal op is op byte + length + bytes.
+constexpr std::size_t kCopyOpBytes = 1 + 4 + 4;
+constexpr std::size_t kLiteralOpBytes = 1 + 4;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  char b[4];
-  std::memcpy(b, &v, 4);
-  out.append(b, 4);
+char* put_u32(char* at, std::uint32_t v) {
+  std::memcpy(at, &v, 4);
+  return at + 4;
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  char b[8];
-  std::memcpy(b, &v, 8);
-  out.append(b, 8);
+char* put_u64(char* at, std::uint64_t v) {
+  std::memcpy(at, &v, 8);
+  return at + 8;
+}
+
+std::uint64_t load_u64(const char* at) {
+  std::uint64_t v;
+  std::memcpy(&v, at, 8);
+  return v;
 }
 
 bool get_u32(std::string_view bytes, std::size_t& at, std::uint32_t& v) {
@@ -42,70 +51,98 @@ bool get_u64(std::string_view bytes, std::size_t& at, std::uint64_t& v) {
   return true;
 }
 
-std::string header(RecordKind kind, std::size_t payload_len,
-                   std::uint64_t base_check) {
-  std::string out;
-  out.append(kMagic, 4);
-  put_u32(out, kFormat);
-  out.push_back(static_cast<char>(kind));
-  put_u64(out, static_cast<std::uint64_t>(payload_len));
-  put_u64(out, base_check);
-  return out;
+char* put_header(char* at, RecordKind kind, std::size_t payload_len,
+                 std::uint64_t base_check) {
+  std::memcpy(at, kMagic, 4);
+  at = put_u32(at + 4, kFormat);
+  *at++ = static_cast<char>(kind);
+  at = put_u64(at, static_cast<std::uint64_t>(payload_len));
+  return put_u64(at, base_check);
 }
 
-void seal(std::string& record) {
-  put_u64(record, util::checksum64(record));
+/// Writes the trailer (XXH64 of the `body_bytes` before it) and returns
+/// the XXH64 of the whole sealed record, in one pass over the bytes:
+/// finish() is const, so the stream that produced the trailer continues
+/// through it.
+std::uint64_t seal(char* record, std::size_t body_bytes) {
+  util::Checksum64 hash;
+  hash.update(record, body_bytes);
+  const std::uint64_t trailer = hash.finish();
+  put_u64(record + body_bytes, trailer);
+  hash.update(record + body_bytes, kTrailerBytes);
+  return hash.finish();
 }
 
 }  // namespace
 
-std::string encode_full_record(std::string_view payload) {
-  std::string out = header(RecordKind::kFull, payload.size(), 0);
-  out.reserve(out.size() + payload.size() + 8);
-  out.append(payload);
-  seal(out);
-  return out;
+std::uint64_t encode_full_record_into(std::string& out,
+                                      std::string_view payload) {
+  out.resize(kHeaderBytes + payload.size() + kTrailerBytes);
+  char* at = put_header(out.data(), RecordKind::kFull, payload.size(), 0);
+  if (!payload.empty()) std::memcpy(at, payload.data(), payload.size());
+  return seal(out.data(), kHeaderBytes + payload.size());
 }
 
-std::string encode_delta_record(std::string_view base,
-                                std::string_view payload) {
-  std::string out =
-      header(RecordKind::kDelta, payload.size(), util::checksum64(base));
+std::optional<std::uint64_t> encode_delta_record_into(
+    std::string& out, std::string_view base, std::string_view payload,
+    std::size_t limit) {
+  if (limit <= kRecordFramingBytes) return std::nullopt;  // nothing fits
+  const char* const b = base.data();
+  const char* const p = payload.data();
+  const std::size_t n = payload.size();
+  // Block-granular diff at matching offsets: a block matches when it lies
+  // inside the base and its bytes agree.
+  auto block_matches = [&](std::size_t at) {
+    const std::size_t block = std::min(kDeltaBlockBytes, n - at);
+    if (block > base.size() || at > base.size() - block) return false;
+    if (block == kDeltaBlockBytes) return load_u64(b + at) == load_u64(p + at);
+    return std::memcmp(b + at, p + at, block) == 0;
+  };
 
-  // Block-granular diff at matching offsets: positions where base and
-  // payload agree become copy ops, everything else literal runs. Adjacent
-  // same-kind runs coalesce, so op overhead is one per changed region.
+  // At most one op per block, each with at most 9 bytes of overhead, plus
+  // every payload byte as a literal; and the record stays under `limit`.
+  const std::size_t blocks = (n + kDeltaBlockBytes - 1) / kDeltaBlockBytes;
+  out.resize(std::min(limit, kRecordFramingBytes + blocks * kCopyOpBytes + n));
+  char* const begin = out.data();
+  char* w = put_header(begin, RecordKind::kDelta, n, util::checksum64(base));
+
+  // Positions where base and payload agree become copy ops, everything
+  // else literal runs. Adjacent same-kind blocks coalesce, so op overhead
+  // is one per changed region. A run extends through full blocks inside
+  // the base with one u64 compare each; block_matches takes over where
+  // the base or the payload ends.
+  const std::size_t fast_end = std::min(n, base.size());
   std::size_t at = 0;
-  while (at < payload.size()) {
-    const std::size_t block =
-        std::min(kDeltaBlockBytes, payload.size() - at);
-    const bool match =
-        at + block <= base.size() &&
-        std::memcmp(base.data() + at, payload.data() + at, block) == 0;
-    std::size_t end = at + block;
-    // Extend the run while subsequent blocks keep the same match-ness.
-    while (end < payload.size()) {
-      const std::size_t next =
-          std::min(kDeltaBlockBytes, payload.size() - end);
-      const bool next_match =
-          end + next <= base.size() &&
-          std::memcmp(base.data() + end, payload.data() + end, next) == 0;
-      if (next_match != match) break;
-      end += next;
-    }
+  while (at < n) {
+    const bool match = block_matches(at);
+    std::size_t end = std::min(at + kDeltaBlockBytes, n);
+    while (end + kDeltaBlockBytes <= fast_end &&
+           (load_u64(b + end) == load_u64(p + end)) == match)
+      end += kDeltaBlockBytes;
+    while (end < n && block_matches(end) == match)
+      end = std::min(end + kDeltaBlockBytes, n);
+    const std::size_t len = end - at;
+    const std::size_t op_bytes = match ? kCopyOpBytes : kLiteralOpBytes + len;
+    // Records only grow as ops are added: once this op and the trailer
+    // would reach the limit, the finished record would too.
+    if (static_cast<std::size_t>(w - begin) + op_bytes + kTrailerBytes >=
+        limit)
+      return std::nullopt;
     if (match) {
-      out.push_back(static_cast<char>(kOpCopy));
-      put_u32(out, static_cast<std::uint32_t>(at));
-      put_u32(out, static_cast<std::uint32_t>(end - at));
+      *w++ = static_cast<char>(kOpCopy);
+      w = put_u32(w, static_cast<std::uint32_t>(at));
+      w = put_u32(w, static_cast<std::uint32_t>(len));
     } else {
-      out.push_back(static_cast<char>(kOpLiteral));
-      put_u32(out, static_cast<std::uint32_t>(end - at));
-      out.append(payload.substr(at, end - at));
+      *w++ = static_cast<char>(kOpLiteral);
+      w = put_u32(w, static_cast<std::uint32_t>(len));
+      std::memcpy(w, p + at, len);
+      w += len;
     }
     at = end;
   }
-  seal(out);
-  return out;
+  const auto body_bytes = static_cast<std::size_t>(w - begin);
+  out.resize(body_bytes + kTrailerBytes);
+  return seal(out.data(), body_bytes);
 }
 
 std::optional<RecordKind> record_kind(std::string_view record) {
@@ -149,8 +186,12 @@ std::optional<std::string> decode_record(std::string_view record,
 
   // Delta: bind to the exact base payload before applying ops.
   if (util::checksum64(base) != base_check) return std::nullopt;
+  // payload_len is an untrusted header field: cap the reservation by the
+  // input sizes. It is only a hint; the length checks below bound the
+  // decode itself.
   std::string payload;
-  payload.reserve(static_cast<std::size_t>(payload_len));
+  payload.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+      payload_len, base.size() + body.size())));
   std::size_t op_at = 0;
   while (op_at < body.size()) {
     const auto op = static_cast<std::uint8_t>(body[op_at++]);

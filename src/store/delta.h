@@ -29,6 +29,11 @@
 // never read out of bounds. Restores verify every link of a delta chain
 // this way, so corruption invalidates exactly the chain suffix that
 // depends on the rotten record.
+//
+// Encoding writes into a caller-owned buffer and touches each byte once
+// per stage: the diff compares full blocks as u64 loads and stores ops
+// through a cursor, and one streaming XXH64 pass yields both the trailer
+// and the whole-record checksum the store keeps.
 #pragma once
 
 #include <cstdint>
@@ -47,16 +52,40 @@ enum class RecordKind : std::uint8_t { kFull = 0, kDelta = 1 };
 /// counter dirties exactly one block.
 inline constexpr std::size_t kDeltaBlockBytes = 8;
 
-/// Encodes `payload` as a self-contained full record.
-std::string encode_full_record(std::string_view payload);
+/// Bytes a record adds around a verbatim payload: header plus trailer. A
+/// full record of `payload` is exactly payload.size() + this long.
+inline constexpr std::size_t kRecordFramingBytes = 25 + 8;
 
-/// Encodes `payload` as a delta against `base` (the previous payload).
-/// Falls back to literal runs wherever the two disagree, so any (base,
-/// payload) pair encodes correctly; when the two share little, the record
-/// can exceed a full record's size — callers compare and keep the smaller
-/// (StableStore::write_payload does).
-std::string encode_delta_record(std::string_view base,
-                                std::string_view payload);
+/// Encodes `payload` as a self-contained full record into `out`
+/// (replacing its contents; a reused buffer makes this allocation-free)
+/// and returns the XXH64 of the whole record, trailer included — the
+/// value StableStore::Record::checksum holds.
+std::uint64_t encode_full_record_into(std::string& out,
+                                      std::string_view payload);
+
+/// Encodes `payload` as a delta against `base` (the previous payload)
+/// into `out` and returns the record's XXH64, as encode_full_record_into
+/// does. Falls back to literal runs wherever the two disagree, so any
+/// (base, payload) pair encodes correctly. Stops early and returns
+/// nullopt, leaving `out` unspecified, as soon as the record is known to
+/// be at least `limit` bytes long: StableStore::write_payload passes a
+/// full record's size and stores the full image instead.
+std::optional<std::uint64_t> encode_delta_record_into(
+    std::string& out, std::string_view base, std::string_view payload,
+    std::size_t limit = static_cast<std::size_t>(-1));
+
+/// String-returning conveniences over the encoders above.
+inline std::string encode_full_record(std::string_view payload) {
+  std::string out;
+  encode_full_record_into(out, payload);
+  return out;
+}
+inline std::string encode_delta_record(std::string_view base,
+                                       std::string_view payload) {
+  std::string out;
+  encode_delta_record_into(out, base, payload);
+  return out;
+}
 
 /// The kind of an encoded record, without validating the body. nullopt on
 /// anything too short or with a bad magic/format/kind byte.

@@ -242,26 +242,28 @@ WriteCost StableStore::write_payload(int proc, std::string_view payload,
   // Full vs delta follows the same cadence as write_checkpoint, plus two
   // payload-specific fallbacks: no base yet, or a delta that failed to
   // shrink (unrelated payloads — store the full image and restart the
-  // chain rather than pay chain length for nothing).
+  // chain rather than pay chain length for nothing). Both encoders write
+  // into the store's scratch buffer; the delta one gives up as soon as it
+  // cannot undercut the full record.
   bool full = mode_ == CheckpointMode::kFull || records.empty() ||
               last.empty() || since_full + 1 >= model_.full_every;
-  std::string encoded;
+  std::uint64_t checksum = 0;
   if (!full) {
-    encoded = encode_delta_record(last, payload);
-    if (encoded.size() >= payload.size() + /*record framing=*/33) {
-      full = true;
-      encoded.clear();
-    }
+    const auto delta = encode_delta_record_into(
+        encode_scratch_, last, payload,
+        payload.size() + kRecordFramingBytes);
+    if (delta) checksum = *delta;
+    else full = true;
   }
   if (full) {
-    encoded = encode_full_record(payload);
+    checksum = encode_full_record_into(encode_scratch_, payload);
     since_full = 0;
   } else {
     ++since_full;
   }
 
   WriteCost cost;
-  cost.bytes = static_cast<long>(encoded.size());
+  cost.bytes = static_cast<long>(encode_scratch_.size());
   cost.full_image = full;
   cost.seconds = model_.write_latency +
                  static_cast<double>(cost.bytes) / model_.write_bandwidth;
@@ -272,21 +274,29 @@ WriteCost StableStore::write_payload(int proc, std::string_view payload,
   record.time = time;
   record.bytes = cost.bytes;
   record.full_image = full;
-  record.checksum = util::checksum64(encoded);
+  record.checksum = checksum;
+  record.stored_checksum = checksum;
+  record.encoded = encode_scratch_;  // one exact-size copy
 
   // Apply write-time faults to the stored bytes themselves: integrity
   // checks and decode then reject the record for the same physical reason.
+  // Only a torn write or a bit flip changes the bytes, so only they make
+  // the stored checksum worth recomputing.
   bool publish_succeeds = true;
+  bool mutated = false;
+  std::string& encoded = record.encoded;
   for (const StorageFault& fault : faults_.faults) {
     if (fault.proc != proc || fault.ckpt_ordinal != ordinal) continue;
     switch (fault.kind) {
       case StorageFault::Kind::kTornWrite:
         record.torn = true;
         encoded.resize(encoded.size() / 2);
+        mutated = true;
         break;
       case StorageFault::Kind::kBitFlip:
         encoded[static_cast<size_t>(ordinal) % encoded.size()] ^=
             static_cast<char>(1 << (ordinal % 8));
+        mutated = true;
         break;
       case StorageFault::Kind::kLostManifestEntry:
         record.in_manifest = false;
@@ -296,8 +306,7 @@ WriteCost StableStore::write_payload(int proc, std::string_view payload,
         break;
     }
   }
-  record.stored_checksum = util::checksum64(encoded);
-  record.encoded = std::move(encoded);
+  if (mutated) record.stored_checksum = util::checksum64(encoded);
   records.push_back(std::move(record));
   // The writer deltas against what it intended to write, not against what
   // landed on disk: its in-memory state is authoritative.

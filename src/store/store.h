@@ -227,6 +227,9 @@ class StableStore {
   /// Last payload each process wrote (the delta base for its next write).
   /// The writer's own in-memory copy: disk faults never corrupt it.
   std::vector<std::string> last_payload_;
+  /// Record encoding scratch, reused by every write_payload: each stored
+  /// record is one exact-size copy of it.
+  std::string encode_scratch_;
   std::vector<int> since_full_;
   std::vector<long> write_counts_;
   /// Per-process publish state: version counter and the highest ordinal

@@ -1,15 +1,19 @@
 // ACFD delta-record codec and payload-backed StableStore coverage:
-// known-answer encodings, strict-decode rejection, chain-suffix
-// invalidation under corruption, GC anchor preservation, and the
-// snapshot-serializer capture wiring into the engine (including per-run
-// stores under the parallel Monte-Carlo pool).
+// known-answer encodings, strict-decode rejection, a differential oracle
+// against the reference codecs in reference_codec.h, chain-suffix
+// invalidation under corruption, the storage-fault table, GC anchor
+// preservation, and the snapshot-serializer capture wiring into the
+// engine (including per-run stores under the parallel Monte-Carlo pool).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "reference_codec.h"
 #include "sim/engine.h"
 #include "sim/fault.h"
 #include "sim/montecarlo.h"
@@ -119,6 +123,19 @@ TEST(DeltaCodec, DecodeRejectsStructuralDamage) {
   EXPECT_EQ(decode_record("not a record at all, certainly", {}),
             std::nullopt);
   EXPECT_EQ(store::record_kind("ACFDxxxx"), std::nullopt);
+  // A well-sealed record whose payload_len claims 2^62 bytes: decode must
+  // not trust the header field for an allocation.
+  const std::pair<std::string, std::string> kSealed[] = {{full, ""},
+                                                         {delta, kKatBase}};
+  for (const auto& [record, base] : kSealed) {
+    std::string huge = record;
+    const std::uint64_t claim = 1ULL << 62;
+    std::memcpy(huge.data() + 9, &claim, 8);
+    reference::reseal(huge);
+    std::optional<std::string> decoded;
+    EXPECT_NO_THROW(decoded = decode_record(huge, base));
+    EXPECT_EQ(decoded, std::nullopt);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -231,6 +248,56 @@ TEST(PayloadStore, TornPayloadWriteIsRejectedWholesale) {
   EXPECT_EQ(store.restore_latest_payload(0), payload_at(1));
 }
 
+TEST(PayloadStore, StoredChecksumMovesExactlyWithTheStoredBytes) {
+  // Every fault kind on a full record (ordinal 1) and on a delta (2):
+  // stored_checksum is re-hashed only after a fault that mutates bytes,
+  // so it must differ from checksum exactly then, always describe the
+  // bytes on disk, and never let verify_record pass a record that
+  // restore_payload cannot decode (or the reverse). The last row applies
+  // the same bit flip twice: the bytes come back intact and so does the
+  // record.
+  using Kind = StorageFault::Kind;
+  struct Row {
+    std::vector<Kind> faults;
+    bool mutates;
+  };
+  const Row kRows[] = {
+      {{}, false},
+      {{Kind::kTornWrite}, true},
+      {{Kind::kBitFlip}, true},
+      {{Kind::kLostManifestEntry}, false},
+      {{Kind::kStaleManifest}, false},
+      {{Kind::kBitFlip, Kind::kBitFlip}, false},
+  };
+  for (const Row& row : kRows) {
+    for (const long target : {1L, 2L}) {
+      store::StorageFaultPlan plan;
+      for (const Kind kind : row.faults)
+        plan.faults.push_back(StorageFault{0, kind, target});
+      StableStore store(tight_model(8), CheckpointMode::kIncremental, 1,
+                        plan);
+      for (long ordinal = 1; ordinal <= target; ++ordinal)
+        store.write_payload(0, payload_at(ordinal),
+                            static_cast<double>(ordinal));
+      const auto records = store.records_of(0);
+      ASSERT_EQ(records.size(), static_cast<std::size_t>(target));
+      const StableStore::Record& r = records.back();
+      SCOPED_TRACE(std::string(row.faults.empty()
+                                   ? "no fault"
+                                   : store::storage_fault_name(
+                                         row.faults.front())) +
+                   " x" + std::to_string(row.faults.size()) + " on " +
+                   (r.full_image ? "full" : "delta"));
+      EXPECT_EQ(r.full_image, target == 1);
+      EXPECT_EQ(r.stored_checksum != r.checksum, row.mutates);
+      EXPECT_EQ(r.stored_checksum, util::checksum64(r.encoded));
+      const bool restorable = store.restore_payload(0, target).has_value();
+      EXPECT_EQ(store.verify_record(0, target), restorable);
+      EXPECT_EQ(restorable, row.faults.empty() || row.faults.size() == 2);
+    }
+  }
+}
+
 TEST(PayloadStore, GcKeepsFullRecordAnchors) {
   StableStore store(tight_model(4), CheckpointMode::kIncremental, 1);
   for (long ordinal = 1; ordinal <= 11; ++ordinal)
@@ -245,6 +312,169 @@ TEST(PayloadStore, GcKeepsFullRecordAnchors) {
   EXPECT_TRUE(records.front().full_image);
   EXPECT_EQ(store.restore_payload(0, 11), payload_at(11));
   EXPECT_EQ(store.restore_payload(0, 3), std::nullopt);  // collected
+}
+
+// ---------------------------------------------------------------------------
+// Differential oracle: the production encoders against reference_codec.h
+// ---------------------------------------------------------------------------
+
+/// Every snapshot a run of `program` captures, per process in take order.
+std::vector<std::vector<sim::VmSnapshot>> capture_takes(
+    const mp::Program& program, int nprocs) {
+  std::vector<std::vector<sim::VmSnapshot>> takes(
+      static_cast<std::size_t>(nprocs));
+  sim::SimOptions opts;
+  opts.nprocs = nprocs;
+  opts.checkpoint_capture_fn = [&takes](int proc,
+                                        const sim::VmSnapshot& state) {
+    takes[static_cast<std::size_t>(proc)].push_back(state);
+  };
+  sim::Engine engine(program, opts);
+  EXPECT_TRUE(engine.run().trace.completed);
+  return takes;
+}
+
+/// Checks both encoders on one (base, payload) pair against the reference
+/// bytes and checksums, with no limit and with the store's limit; returns
+/// whether the store would keep the delta.
+bool expect_encoders_match(std::string_view base, std::string_view payload) {
+  const std::string ref_full = reference::encode_full_record(payload);
+  const std::string ref_delta = reference::encode_delta_record(base, payload);
+  std::string out = "stale scratch contents";
+  EXPECT_EQ(store::encode_full_record_into(out, payload),
+            util::checksum64(ref_full));
+  EXPECT_EQ(out, ref_full);
+  const auto unlimited = store::encode_delta_record_into(out, base, payload);
+  EXPECT_EQ(unlimited, util::checksum64(ref_delta));
+  EXPECT_EQ(out, ref_delta);
+  // The early stop must reproduce the store's full-vs-delta decision.
+  const bool keep_delta = ref_delta.size() < ref_full.size();
+  const auto limited = store::encode_delta_record_into(
+      out, base, payload, payload.size() + store::kRecordFramingBytes);
+  EXPECT_EQ(limited.has_value(), keep_delta);
+  if (limited) {
+    EXPECT_EQ(*limited, util::checksum64(ref_delta));
+    EXPECT_EQ(out, ref_delta);
+  }
+  return keep_delta;
+}
+
+TEST(CodecOracle, RealSnapshotsEncodeLikeTheReference) {
+  // Every canonical workload at world sizes 2..64: serializer bytes, both
+  // encoders on consecutive takes, and the records a StableStore keeps
+  // must all equal what the reference codecs produce.
+  std::string scratch = "stale contents from a previous take";
+  long deltas_kept = 0, records_checked = 0;
+  for (const std::string& name : mp::workload_names()) {
+    for (const int n : {2, 5, 16, 64}) {
+      SCOPED_TRACE(name + " n=" + std::to_string(n));
+      const mp::Program program = mp::workload_by_name(name);
+      const auto takes = capture_takes(program, n);
+      StableStore store(tight_model(4), CheckpointMode::kIncremental, n);
+      for (int proc = 0; proc < n; ++proc) {
+        std::string prev;
+        bool prev_full_due = true;
+        int since_full = 0;
+        std::vector<std::string> expect;
+        for (const sim::VmSnapshot& snap :
+             takes[static_cast<std::size_t>(proc)]) {
+          const std::string ref = reference::serialize_snapshot(snap);
+          sim::serialize_snapshot_into(snap, scratch);
+          ASSERT_EQ(scratch, ref);
+          store.write_payload(proc, scratch, 0.0);
+          // The store's cadence (full_every 4) and shrink fallback,
+          // replayed over reference-encoded records.
+          const bool full = prev_full_due || since_full + 1 >= 4;
+          const bool keep_delta = !full && expect_encoders_match(prev, ref);
+          if (keep_delta) {
+            ++deltas_kept;
+            ++since_full;
+            expect.push_back(reference::encode_delta_record(prev, ref));
+          } else {
+            since_full = 0;
+            expect.push_back(reference::encode_full_record(ref));
+          }
+          prev = ref;
+          prev_full_due = false;
+        }
+        const auto records = store.records_of(proc);
+        ASSERT_EQ(records.size(), expect.size());
+        for (std::size_t i = 0; i < records.size(); ++i) {
+          EXPECT_EQ(records[i].encoded, expect[i]) << "record " << i;
+          EXPECT_EQ(records[i].checksum, util::checksum64(expect[i]));
+          EXPECT_EQ(records[i].stored_checksum, records[i].checksum);
+          ++records_checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(deltas_kept, 100);
+  EXPECT_GT(records_checked, 1000);
+}
+
+TEST(CodecOracle, RandomPairsEncodeLikeTheReference) {
+  // Payload lengths on and off the 8-byte grid; bases empty, shorter,
+  // longer, equal in length, identical, or differing in every byte.
+  util::Rng rng(20261019);
+  auto random_bytes = [&rng](std::size_t len) {
+    std::string bytes(len, '\0');
+    for (char& c : bytes) c = static_cast<char>(rng.uniform_int(0, 255));
+    return bytes;
+  };
+  int kept = 0, fell_back = 0, off_grid = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const auto len = static_cast<std::size_t>(rng.uniform_int(0, 300));
+    const std::string payload = random_bytes(len);
+    if (len % store::kDeltaBlockBytes != 0) ++off_grid;
+    std::string owned;
+    std::string_view base;
+    switch (trial % 6) {
+      case 0:  // empty base
+        break;
+      case 1:  // identical
+        base = payload;
+        break;
+      case 2:  // every byte differs
+        owned = payload;
+        for (char& c : owned) c = static_cast<char>(c ^ 0x5a);
+        base = owned;
+        break;
+      case 3:  // shorter base: a prefix view of the payload itself, so the
+               // bytes just past the base's end agree with the payload and
+               // a block straddling that end must still not match
+        base = std::string_view(payload).substr(
+            0, static_cast<std::size_t>(rng.uniform_int(
+                   0, static_cast<std::int64_t>(len))));
+        break;
+      case 4:  // longer base sharing a prefix
+        owned = payload + random_bytes(static_cast<std::size_t>(
+                              rng.uniform_int(1, 40)));
+        base = owned;
+        break;
+      default:  // equal length, a few scattered edits
+        owned = payload;
+        for (int hit = 0; hit < 3 && !owned.empty(); ++hit)
+          owned[static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(len) - 1))] ^= 0x21;
+        base = owned;
+        break;
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    (expect_encoders_match(base, payload) ? kept : fell_back) += 1;
+    // Any other limit: nullopt exactly when the record would reach it.
+    const std::size_t ref_size =
+        reference::encode_delta_record(base, payload).size();
+    const auto limit = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(ref_size) + 8));
+    std::string out;
+    EXPECT_EQ(store::encode_delta_record_into(out, base, payload, limit)
+                  .has_value(),
+              ref_size < limit)
+        << "limit " << limit << " record " << ref_size;
+  }
+  EXPECT_GT(kept, 100);
+  EXPECT_GT(fell_back, 100);
+  EXPECT_GT(off_grid, 300);
 }
 
 // ---------------------------------------------------------------------------

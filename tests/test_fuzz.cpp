@@ -4,7 +4,10 @@
 // still parses.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,10 +19,14 @@
 #include "mp/parser.h"
 #include "mp/printer.h"
 #include "place/place.h"
+#include "reference_codec.h"
 #include "sim/engine.h"
+#include "sim/snapshot_codec.h"
+#include "store/delta.h"
 #include "store/store.h"
 #include "trace/json.h"
 #include "util/rng.h"
+#include "workloads/workloads.h"
 
 namespace {
 
@@ -396,6 +403,153 @@ TEST(ManifestFuzz, RandomGarbageNeverCrashes) {
     if (store::parse_manifest(garbage).has_value()) ++accepted;
   }
   EXPECT_EQ(accepted, 0);  // random bytes never pass magic + checksum
+}
+
+// ---------------------------------------------------------------------------
+// ACFD record fuzzing: decode_record returns nullopt or exactly payload_len
+// bytes, and never throws. Mutants are resealed with a valid trailer so
+// they get past the checksum gate into the header and op-stream parsers.
+// ---------------------------------------------------------------------------
+
+struct RecordSample {
+  std::string record;
+  std::string base;  ///< the payload a delta decodes against ("" for full)
+};
+
+/// Full and delta records of consecutive real snapshot payloads (one ring
+/// process), as the capture path encodes them.
+std::vector<RecordSample> sample_records() {
+  std::vector<std::string> payloads;
+  sim::SimOptions opts;
+  opts.nprocs = 3;
+  opts.checkpoint_capture_fn = [&payloads](int proc,
+                                           const sim::VmSnapshot& state) {
+    if (proc == 1) payloads.push_back(sim::serialize_snapshot(state));
+  };
+  const mp::Program program = mp::ring();  // the engine keeps a reference
+  sim::Engine engine(program, opts);
+  engine.run();
+  std::vector<RecordSample> samples;
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    samples.push_back({store::encode_full_record(payloads[i]), ""});
+    if (i > 0)
+      samples.push_back(
+          {store::encode_delta_record(payloads[i - 1], payloads[i]),
+           payloads[i - 1]});
+  }
+  return samples;
+}
+
+std::uint64_t claimed_payload_len(const std::string& record) {
+  std::uint64_t len = 0;
+  std::memcpy(&len, record.data() + 9, 8);
+  return len;
+}
+
+/// Decodes without letting an exception escape the test; checks the
+/// length contract on success.
+std::optional<std::string> decode_checked(const std::string& record,
+                                          const std::string& base) {
+  std::optional<std::string> decoded;
+  EXPECT_NO_THROW(decoded = store::decode_record(record, base));
+  if (decoded) {
+    EXPECT_EQ(decoded->size(), claimed_payload_len(record));
+  }
+  return decoded;
+}
+
+/// Byte-level mutants: bit flips, random bytes, deletions, insertions, and
+/// extreme values stamped over u32 op fields or the u64 payload_len.
+std::string mutate_record(const std::string& record, util::Rng& rng) {
+  std::string out = record;
+  const int edits = static_cast<int>(rng.uniform_int(1, 3));
+  for (int e = 0; e < edits && !out.empty(); ++e) {
+    const auto pos = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(out.size()) - 1));
+    switch (rng.uniform_int(0, 5)) {
+      case 0:
+        out[pos] = static_cast<char>(out[pos] ^ (1 << rng.uniform_int(0, 7)));
+        break;
+      case 1:
+        out[pos] = static_cast<char>(rng.uniform_int(0, 255));
+        break;
+      case 2:
+        out.erase(pos, 1);
+        break;
+      case 3:
+        out.insert(pos, 1, static_cast<char>(rng.uniform_int(0, 255)));
+        break;
+      case 4: {
+        const std::uint32_t kExtremes[] = {0, 1, 8, 0x7fffffffU,
+                                           0xffffffffU};
+        const std::uint32_t v = kExtremes[rng.uniform_int(0, 4)];
+        std::memcpy(out.data() + pos, &v, std::min<std::size_t>(
+                                              4, out.size() - pos));
+        break;
+      }
+      default:
+        if (out.size() >= 17) {
+          const std::uint64_t len = rng.next_u64() >> rng.uniform_int(0, 63);
+          std::memcpy(out.data() + 9, &len, 8);
+        }
+        break;
+    }
+  }
+  if (out.size() >= 8) reference::reseal(out);
+  return out;
+}
+
+TEST(RecordFuzz, ResealedMutantsDecodeOrRejectCleanly) {
+  const auto samples = sample_records();
+  ASSERT_GT(samples.size(), 4u);
+  util::Rng rng(20261019);
+  int accepted = 0, rejected = 0;
+  for (int round = 0; round < 3000; ++round) {
+    const RecordSample& sample =
+        samples[static_cast<std::size_t>(round) % samples.size()];
+    const std::string mutant = mutate_record(sample.record, rng);
+    (decode_checked(mutant, sample.base) ? accepted : rejected) += 1;
+  }
+  // Resealed mutants reach the body parser: a changed literal or payload
+  // byte still decodes, a broken length or op does not.
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 1000);
+}
+
+TEST(RecordFuzz, EveryTruncationRejected) {
+  for (const RecordSample& sample : sample_records()) {
+    for (std::size_t keep = 0; keep < sample.record.size(); ++keep) {
+      std::string prefix = sample.record.substr(0, keep);
+      EXPECT_EQ(decode_checked(prefix, sample.base), std::nullopt)
+          << "prefix " << keep;
+      // Resealed, the short body must still fail the length checks.
+      if (keep < 8) continue;
+      reference::reseal(prefix);
+      EXPECT_EQ(decode_checked(prefix, sample.base), std::nullopt)
+          << "resealed prefix " << keep;
+    }
+  }
+}
+
+TEST(RecordFuzz, RandomGarbageNeverCrashes) {
+  util::Rng rng(271828);
+  const std::string base = "the previous payload the delta binds to";
+  for (int round = 0; round < 1000; ++round) {
+    std::string garbage;
+    const auto len = rng.uniform_int(0, 300);
+    for (std::int64_t i = 0; i < len; ++i)
+      garbage += static_cast<char>(rng.uniform_int(0, 255));
+    EXPECT_EQ(decode_checked(garbage, base), std::nullopt);
+    // The same bytes behind a valid header bound to `base` and a valid
+    // trailer: whatever the op stream says, decode must not throw.
+    std::string framed = reference::record_header(
+        round % 2 == 0 ? store::RecordKind::kFull : store::RecordKind::kDelta,
+        static_cast<std::size_t>(rng.uniform_int(0, 400)),
+        round % 2 == 0 ? 0 : util::checksum64(base));
+    framed += garbage;
+    reference::seal(framed);
+    decode_checked(framed, base);
+  }
 }
 
 TEST(Fuzz, GarbageInputsRejectedStructurally) {
