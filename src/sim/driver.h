@@ -51,10 +51,11 @@ class ProtocolDriver {
                            double /*resume_at*/) {}
 
   /// Return true to put the engine in SUPERVISED failure mode: a crash
-  /// marks the process dead (its events are dropped) but does NOT trigger
-  /// rollback — the driver must detect the crash in-model (heartbeats) and
-  /// call Engine::supervised_restart or Engine::quarantine. This is how
-  /// sim::Supervisor replaces engine omniscience with a failure detector.
+  /// marks the process dead (events targeting it are dropped) but does NOT
+  /// trigger rollback — recovery waits for an in-model verdict: the driver
+  /// detects the crash (heartbeats) and calls Engine::supervised_restart
+  /// or Engine::quarantine. This is how sim::Supervisor replaces engine
+  /// omniscience with a failure detector. The engine asks on every crash.
   virtual bool wants_supervised_failures() const { return false; }
 };
 

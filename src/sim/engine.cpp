@@ -130,6 +130,12 @@ Engine::Engine(const mp::Program& program, SimOptions opts,
     ACFC_CHECK_MSG(f.ckpt_ordinal >= 1,
                    "storage fault ordinals are 1-based");
   }
+  for (const auto& f : opts_.fault_plan.faults) {
+    ACFC_CHECK_MSG(f.proc >= 0 && f.proc < opts_.nprocs,
+                   "fault plan targets a process outside the world");
+    ACFC_CHECK_MSG(f.trigger != FaultSpec::Trigger::kAtTime || f.time >= 0.0,
+                   "fault plan crash time must be non-negative");
+  }
   for (const auto& w : opts_.fault_plan.partitions) {
     ACFC_CHECK_MSG(!w.group.empty(), "partition group must be non-empty");
     ACFC_CHECK_MSG(w.heal >= w.start, "partition heals before it starts");
@@ -148,8 +154,6 @@ Engine::Engine(const mp::Program& program, SimOptions opts,
                        w.dst >= -1 && w.dst < opts_.nprocs,
                    "slow-link endpoint outside the world");
   }
-  if (driver_ != nullptr && driver_->wants_supervised_failures())
-    opts_.supervised = true;
   crashed_.assign(n, 0);
   quarantined_.assign(n, 0);
   crash_time_.assign(n, 0.0);
@@ -261,43 +265,33 @@ void Engine::offer_failure_point(BoundaryKind boundary, int proc) {
   // vectors align position-for-position across replays.
   if (opts_.perturb.failure_points) {
     const ChoicePoint cp{ChoiceKind::kFailurePoint, 2, proc, boundary, this};
-    if (hook->choose(cp) == 1) arm_failure(proc, now_);
+    if (hook->choose(cp) == 1) push_event(now_, EvKind::kFailure, proc);
   }
   if (opts_.perturb.partition_points) {
     const ChoicePoint cp{ChoiceKind::kPartitionPoint, 2, proc, boundary,
                          this};
     if (hook->choose(cp) == 1)
-      runtime_partitions_.push_back(FaultPlan::partition(
+      opts_.fault_plan.partitions.push_back(FaultPlan::partition(
           {proc}, now_, now_ + opts_.perturb.partition_window,
           /*symmetric=*/true));
   }
   if (opts_.perturb.stall_points) {
     const ChoicePoint cp{ChoiceKind::kStallPoint, 2, proc, boundary, this};
     if (hook->choose(cp) == 1)
-      runtime_stalls_.push_back(
+      opts_.fault_plan.stalls.push_back(
           FaultPlan::stall(proc, now_, opts_.perturb.stall_window));
   }
 }
 
 void Engine::bootstrap() {
   for (int p = 0; p < opts_.nprocs; ++p) push_event(0.0, EvKind::kWake, p);
-  for (const FailureEvent& failure : opts_.failures)
-    arm_failure(failure.proc, failure.time);
   for (const FaultSpec& spec : opts_.fault_plan.faults) {
-    ACFC_CHECK_MSG(spec.proc >= 0 && spec.proc < opts_.nprocs,
-                   "fault plan targets a process outside the world");
     if (spec.trigger == FaultSpec::Trigger::kAtTime)
-      arm_failure(spec.proc, spec.time);
+      push_event(spec.time, EvKind::kFailure, spec.proc);
     else
       pending_faults_.push_back(PendingFault{spec, false});
   }
   if (driver_ != nullptr) driver_->on_start(*this);
-}
-
-void Engine::arm_failure(int proc, double time) {
-  armed_failures_.push_back(FailureEvent{proc, time});
-  push_event(time, EvKind::kFailure, proc,
-             static_cast<long>(armed_failures_.size()) - 1);
 }
 
 void Engine::check_checkpoint_faults(int proc) {
@@ -309,7 +303,7 @@ void Engine::check_checkpoint_faults(int proc) {
         ckpt_counts_[static_cast<size_t>(proc)] < pending.spec.count)
       continue;
     pending.fired = true;  // once only: rollback rewinds the tally
-    arm_failure(pending.spec.proc, now_);
+    push_event(now_, EvKind::kFailure, pending.spec.proc);
   }
 }
 
@@ -320,7 +314,7 @@ void Engine::check_event_faults() {
       continue;
     if (stats_.events_processed < pending.spec.count) continue;
     pending.fired = true;
-    arm_failure(pending.spec.proc, now_);
+    push_event(now_, EvKind::kFailure, pending.spec.proc);
   }
 }
 
@@ -382,7 +376,7 @@ void Engine::dispatch(const Ev& ev) {
       ++stats_.crash_dropped_events;
       return;
     }
-    if (!opts_.fault_plan.stalls.empty() || !runtime_stalls_.empty()) {
+    if (!opts_.fault_plan.stalls.empty()) {
       const double clear = stall_clear_time(ev.proc, now_);
       if (clear > now_) {
         // Alive but not executing: defer the event to the window end.
@@ -428,7 +422,7 @@ void Engine::dispatch(const Ev& ev) {
       return;
     }
     case EvKind::kFailure: {
-      handle_failure(armed_failures_.at(static_cast<size_t>(ev.a)));
+      handle_failure(ev.proc);
       return;
     }
     case EvKind::kNetArrive: {
@@ -454,6 +448,30 @@ double Engine::message_delay(int bytes) {
   if (opts_.delay.jitter > 0.0)
     d += net_rng_.uniform(0.0, opts_.delay.jitter);
   return d;
+}
+
+void Engine::post_message(long msg_index, double at) {
+  trace::MsgRec& msg = trace_.messages[static_cast<size_t>(msg_index)];
+  if (opts_.delay.lossy()) {
+    msg.deliver_time = -1.0;  // set when the shim accepts it in order
+    xport_send(msg_index, at);
+    return;
+  }
+  // A partitioned link holds the departure at the sender until the heal
+  // (the in-order backlog then drains through the FIFO floor).
+  const double depart = link_clear_time(msg.src, msg.dst, at);
+  if (depart > at) ++stats_.partition_deferred_sends;
+  double deliver_at = perturb_delivery(
+      depart + p2p_delay(msg.src, msg.dst, msg.bytes, depart));
+  const size_t chan = static_cast<size_t>(msg.src) *
+                          static_cast<size_t>(opts_.nprocs) +
+                      static_cast<size_t>(msg.dst);
+  double& floor =
+      (msg.control ? control_last_deliver_ : channel_last_deliver_)[chan];
+  deliver_at = std::max(deliver_at, floor);
+  floor = deliver_at;
+  msg.deliver_time = deliver_at;
+  push_event(deliver_at, EvKind::kDeliver, msg.dst, msg_index);
 }
 
 // ===========================================================================
@@ -483,22 +501,17 @@ bool partition_blocks(const PartitionSpec& w, int src, int dst, double t) {
 bool Engine::link_blocked(int src, int dst, double t) const {
   for (const auto& w : opts_.fault_plan.partitions)
     if (partition_blocks(w, src, dst, t)) return true;
-  for (const auto& w : runtime_partitions_)
-    if (partition_blocks(w, src, dst, t)) return true;
   return false;
 }
 
 double Engine::link_clear_time(int src, int dst, double t) const {
-  if (opts_.fault_plan.partitions.empty() && runtime_partitions_.empty())
-    return t;
+  if (opts_.fault_plan.partitions.empty()) return t;
   // Fixed point over possibly-overlapping windows: each pass jumps past
   // every window blocking at the candidate time; windows are finite and
   // each pass strictly advances, so this terminates.
   while (true) {
     double next = t;
     for (const auto& w : opts_.fault_plan.partitions)
-      if (partition_blocks(w, src, dst, t)) next = std::max(next, w.heal);
-    for (const auto& w : runtime_partitions_)
       if (partition_blocks(w, src, dst, t)) next = std::max(next, w.heal);
     if (next == t) return t;
     t = next;
@@ -526,9 +539,6 @@ double Engine::stall_clear_time(int proc, double t) const {
   while (true) {
     double next = t;
     for (const auto& w : opts_.fault_plan.stalls)
-      if (w.proc == proc && t >= w.start && t < w.start + w.duration)
-        next = std::max(next, w.start + w.duration);
-    for (const auto& w : runtime_stalls_)
       if (w.proc == proc && t >= w.start && t < w.start + w.duration)
         next = std::max(next, w.start + w.duration);
     if (next == t) return t;
@@ -593,30 +603,8 @@ void Engine::advance(int p) {
       msg.send_stmt_uid = send->stmt_uid;
       msg.send_vc = proc.vm->clock();
       if (driver_ != nullptr) msg.piggyback = driver_->piggyback(*this, p);
-      const size_t chan = static_cast<size_t>(p) *
-                              static_cast<size_t>(opts_.nprocs) +
-                          static_cast<size_t>(send->dest);
-      if (!opts_.delay.lossy()) {
-        // A partitioned link holds the departure at the sender until the
-        // heal (the in-order backlog then drains through the FIFO floor).
-        double depart = now_;
-        if (!opts_.fault_plan.partitions.empty() ||
-            !runtime_partitions_.empty()) {
-          depart = link_clear_time(p, send->dest, now_);
-          if (depart > now_) ++stats_.partition_deferred_sends;
-        }
-        double deliver_at = perturb_delivery(
-            depart + p2p_delay(p, send->dest, send->bytes, depart));
-        deliver_at = std::max(deliver_at, channel_last_deliver_[chan]);
-        channel_last_deliver_[chan] = deliver_at;
-        msg.deliver_time = deliver_at;
-        trace_.messages.push_back(msg);
-        push_event(deliver_at, EvKind::kDeliver, send->dest, msg.id);
-      } else {
-        msg.deliver_time = -1.0;  // set when the shim accepts it in order
-        trace_.messages.push_back(msg);
-        xport_send(msg.id, now_);
-      }
+      trace_.messages.push_back(msg);
+      post_message(msg.id, now_);
 
       ++stats_.app_messages;
       stats_.app_bytes += send->bytes;
@@ -1064,16 +1052,16 @@ bool Engine::checkpoint_usable(int ckpt_index) const {
   return true;
 }
 
-void Engine::handle_failure(const FailureEvent& failure) {
+void Engine::handle_failure(int proc) {
   if (all_done()) return;
-  if (opts_.supervised) {
+  if (driver_ != nullptr && driver_->wants_supervised_failures()) {
     // Supervised mode: the crash only marks the process dead. Recovery
     // waits for an in-model verdict (supervised_restart / quarantine) —
     // detection is a protocol event, not engine omniscience.
-    supervised_crash(failure.proc);
+    supervised_crash(proc);
     return;
   }
-  perform_rollback(failure.proc);
+  perform_rollback(proc);
 }
 
 void Engine::supervised_crash(int p) {
@@ -1225,35 +1213,10 @@ void Engine::perform_rollback(int failed_proc) {
         copy.recv_time = -1.0;
         copy.recv_stmt_uid = -1;
         copy.replayed = true;
-        const size_t chan = static_cast<size_t>(src) *
-                                static_cast<size_t>(opts_.nprocs) +
-                            static_cast<size_t>(dst);
-        if (!opts_.delay.lossy()) {
-          double depart = resume_of[static_cast<size_t>(src)];
-          if (!opts_.fault_plan.partitions.empty() ||
-              !runtime_partitions_.empty()) {
-            const double clear = link_clear_time(src, dst, depart);
-            if (clear > depart) ++stats_.partition_deferred_sends;
-            depart = clear;
-          }
-          double deliver_at = perturb_delivery(
-              depart + p2p_delay(src, dst, copy.bytes, depart));
-          deliver_at = std::max(deliver_at, channel_last_deliver_[chan]);
-          channel_last_deliver_[chan] = deliver_at;
-          copy.deliver_time = deliver_at;
-          trace_.messages.push_back(copy);
-          push_event(deliver_at, EvKind::kDeliver, dst,
-                     static_cast<long>(trace_.messages.size()) - 1);
-        } else {
-          // Replays are fresh transport sends from the source's restart
-          // time: the shim's cleared sequence space re-delivers them
-          // exactly once even if the wire drops or duplicates attempts.
-          copy.deliver_time = -1.0;
-          copy.xport_seq = -1;
-          trace_.messages.push_back(copy);
-          xport_send(static_cast<long>(trace_.messages.size()) - 1,
-                     resume_of[static_cast<size_t>(src)]);
-        }
+        // Replays leave from the source's restart time; on a lossy wire
+        // the shim's cleared sequence space re-delivers them exactly once.
+        trace_.messages.push_back(copy);
+        post_message(copy.id, resume_of[static_cast<size_t>(src)]);
         ++record.replayed_messages;
       }
     }
@@ -1562,31 +1525,12 @@ void Engine::send_control(int src, int dst, int bytes, int kind,
   msg.piggyback = payload;
   msg.send_time = now_;
   msg.send_vc = procs_[static_cast<size_t>(src)]->vm->clock();
-  const size_t chan = static_cast<size_t>(src) *
-                          static_cast<size_t>(opts_.nprocs) +
-                      static_cast<size_t>(dst);
-  if (!opts_.delay.lossy()) {
-    double depart = now_;
-    if (!opts_.fault_plan.partitions.empty() ||
-        !runtime_partitions_.empty()) {
-      depart = link_clear_time(src, dst, now_);
-      if (depart > now_) ++stats_.partition_deferred_sends;
-    }
-    double deliver_at =
-        perturb_delivery(depart + p2p_delay(src, dst, bytes, depart));
-    deliver_at = std::max(deliver_at, control_last_deliver_[chan]);
-    control_last_deliver_[chan] = deliver_at;
-    msg.deliver_time = deliver_at;
-    trace_.messages.push_back(msg);
-    push_event(deliver_at, EvKind::kDeliver, dst, msg.id);
-  } else {
-    // Control traffic rides the same reliable shim as app messages, in the
-    // same per-channel sequence space — markers keep their FIFO ordering
-    // relative to the app messages they chase (the C-L invariant).
-    msg.deliver_time = -1.0;
-    trace_.messages.push_back(msg);
-    xport_send(msg.id, now_);
-  }
+  // On a lossy wire control traffic rides the same reliable shim as app
+  // messages, in the same per-channel sequence space — markers keep their
+  // FIFO ordering relative to the app messages they chase (the C-L
+  // invariant).
+  trace_.messages.push_back(msg);
+  post_message(msg.id, now_);
 
   ++stats_.control_messages;
   stats_.control_bytes += bytes;
@@ -1768,7 +1712,6 @@ std::uint64_t Engine::schedule_state_hash() const {
     for (const int g : w.group) mix.mix(static_cast<std::uint64_t>(g + 1));
   };
   for (const auto& w : opts_.fault_plan.partitions) mix_partition(w);
-  for (const auto& w : runtime_partitions_) mix_partition(w);
   const auto mix_stall = [&](const StallSpec& w) {
     if (w.start + w.duration <= now_) return;
     mix.mix(0x57a1ULL);
@@ -1777,7 +1720,6 @@ std::uint64_t Engine::schedule_state_hash() const {
     mix.mix(quantize_rel(w.start + w.duration, now_));
   };
   for (const auto& w : opts_.fault_plan.stalls) mix_stall(w);
-  for (const auto& w : runtime_stalls_) mix_stall(w);
   for (const auto& w : opts_.fault_plan.slow_links) {
     if (w.end <= now_) continue;
     mix.mix(0x510eULL);
@@ -1820,12 +1762,9 @@ std::uint64_t Engine::schedule_state_hash() const {
       case EvKind::kTimer:
         em.mix(static_cast<std::uint64_t>(ev.a));
         break;
-      case EvKind::kFailure: {
-        const FailureEvent& f =
-            armed_failures_.at(static_cast<size_t>(ev.a));
-        em.mix(static_cast<std::uint64_t>(f.proc + 1));
+      case EvKind::kFailure:
+        em.mix(static_cast<std::uint64_t>(ev.proc + 1));
         break;
-      }
       default:
         break;
     }
@@ -1856,6 +1795,73 @@ std::uint64_t Engine::schedule_state_hash() const {
 // Observability flush
 // ===========================================================================
 
+namespace {
+
+template <auto Field>
+long long read_stat(const SimStats& stats) {
+  return stats.*Field;
+}
+
+/// Every SimStats counter the flush exports: field, metric name, unit and
+/// layer. transport_reorder_high_water is a gauge and flushes on its own.
+struct StatMetric {
+  long long (*read)(const SimStats&);
+  const char* name;
+  const char* unit;
+  const char* layer;
+};
+
+constexpr StatMetric kStatMetrics[] = {
+    {&read_stat<&SimStats::events_processed>, "engine.events_processed",
+     "events", "engine"},
+    {&read_stat<&SimStats::statement_checkpoints>,
+     "engine.checkpoints_statement", "takes", "engine"},
+    {&read_stat<&SimStats::forced_checkpoints>, "engine.checkpoints_forced",
+     "takes", "engine"},
+    {&read_stat<&SimStats::restarts>, "engine.restarts", "restarts", "engine"},
+    {&read_stat<&SimStats::app_messages>, "engine.app_messages",
+     "messages", "engine"},
+    {&read_stat<&SimStats::app_bytes>, "engine.app_bytes", "bytes", "engine"},
+    {&read_stat<&SimStats::control_messages>, "engine.control_messages",
+     "messages", "engine"},
+    {&read_stat<&SimStats::control_bytes>, "engine.control_bytes",
+     "bytes", "engine"},
+    {&read_stat<&SimStats::channel_logged_messages>,
+     "engine.channel_logged_messages", "messages", "engine"},
+    {&read_stat<&SimStats::crash_dropped_events>, "engine.crash_dropped_events",
+     "events", "engine"},
+    {&read_stat<&SimStats::transport_sends>, "transport.sends",
+     "sends", "transport"},
+    {&read_stat<&SimStats::transport_retransmits>, "transport.retransmits",
+     "sends", "transport"},
+    {&read_stat<&SimStats::transport_rto_backoffs>, "transport.rto_backoffs",
+     "backoffs", "transport"},
+    {&read_stat<&SimStats::transport_dropped>, "transport.dropped",
+     "attempts", "transport"},
+    {&read_stat<&SimStats::transport_dup_arrivals>,
+     "transport.dup_suppressions", "arrivals", "transport"},
+    {&read_stat<&SimStats::transport_acks>, "transport.acks",
+     "acks", "transport"},
+    {&read_stat<&SimStats::transport_give_ups>, "transport.give_ups",
+     "payloads", "transport"},
+    {&read_stat<&SimStats::suspicions>, "detector.suspicions",
+     "verdicts", "detector"},
+    {&read_stat<&SimStats::false_suspicions>, "detector.false_suspicions",
+     "verdicts", "detector"},
+    {&read_stat<&SimStats::supervised_restarts>, "supervisor.restarts",
+     "restarts", "supervisor"},
+    {&read_stat<&SimStats::quarantines>, "supervisor.quarantines",
+     "processes", "supervisor"},
+    {&read_stat<&SimStats::partition_deferred_sends>,
+     "partition.deferred_sends", "sends", "partition"},
+    {&read_stat<&SimStats::partition_dropped_attempts>,
+     "partition.dropped_attempts", "attempts", "partition"},
+    {&read_stat<&SimStats::stall_deferred_events>,
+     "partition.stall_deferred_events", "events", "partition"},
+};
+
+}  // namespace
+
 // Everything here is end-of-run: the simulation loop itself maintains only
 // its plain SimStats / CalendarQueue counters, and this one pass converts
 // them (plus the trace and recovery records) into registry metrics and
@@ -1869,51 +1875,12 @@ void Engine::flush_obs() {
                          const char* layer) {
     reg->counter(name, {unit, layer}).inc(v);
   };
-  set("engine.events_processed", stats_.events_processed, "events", "engine");
-  set("engine.checkpoints_statement", stats_.statement_checkpoints, "takes",
-      "engine");
-  set("engine.checkpoints_forced", stats_.forced_checkpoints, "takes",
-      "engine");
-  set("engine.restarts", stats_.restarts, "restarts", "engine");
+  for (const StatMetric& m : kStatMetrics)
+    set(m.name, m.read(stats_), m.unit, m.layer);
   set("engine.recoveries", static_cast<long long>(recoveries_.size()),
       "rollbacks", "engine");
-  set("engine.app_messages", stats_.app_messages, "messages", "engine");
-  set("engine.app_bytes", stats_.app_bytes, "bytes", "engine");
-  set("engine.control_messages", stats_.control_messages, "messages",
-      "engine");
-  set("engine.control_bytes", stats_.control_bytes, "bytes", "engine");
-  set("engine.channel_logged_messages", stats_.channel_logged_messages,
-      "messages", "engine");
-
-  set("transport.sends", stats_.transport_sends, "sends", "transport");
-  set("transport.retransmits", stats_.transport_retransmits, "sends",
-      "transport");
-  set("transport.rto_backoffs", stats_.transport_rto_backoffs, "backoffs",
-      "transport");
-  set("transport.dropped", stats_.transport_dropped, "attempts", "transport");
-  set("transport.dup_suppressions", stats_.transport_dup_arrivals,
-      "arrivals", "transport");
-  set("transport.acks", stats_.transport_acks, "acks", "transport");
-  set("transport.give_ups", stats_.transport_give_ups, "payloads",
-      "transport");
   reg->gauge("transport.reorder_high_water", {"messages", "transport"})
       .set(stats_.transport_reorder_high_water);
-
-  set("detector.suspicions", stats_.suspicions, "verdicts", "detector");
-  set("detector.false_suspicions", stats_.false_suspicions, "verdicts",
-      "detector");
-  set("supervisor.restarts", stats_.supervised_restarts, "restarts",
-      "supervisor");
-  set("supervisor.quarantines", stats_.quarantines, "processes",
-      "supervisor");
-  set("engine.crash_dropped_events", stats_.crash_dropped_events, "events",
-      "engine");
-  set("partition.deferred_sends", stats_.partition_deferred_sends, "sends",
-      "partition");
-  set("partition.dropped_attempts", stats_.partition_dropped_attempts,
-      "attempts", "partition");
-  set("partition.stall_deferred_events", stats_.stall_deferred_events,
-      "events", "partition");
 
   const CalendarQueue::Stats& cq = calqueue_.stats();
   set("calqueue.grows", cq.grows, "resizes", "calqueue");

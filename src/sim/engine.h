@@ -76,11 +76,6 @@ struct TransportOptions {
   int ack_bytes = 8;     ///< wire size of a cumulative ack
 };
 
-struct FailureEvent {
-  int proc = 0;
-  double time = 0.0;
-};
-
 struct SimOptions {
   int nprocs = 4;
   std::uint64_t seed = 1;
@@ -109,11 +104,8 @@ struct SimOptions {
   /// Per-process relative compute speed (duration /= speed); empty means
   /// homogeneous 1.0. Models heterogeneous grid nodes.
   std::vector<double> compute_speed;
-  /// Legacy time-triggered failure schedule (kept for existing callers);
-  /// `fault_plan` is the richer superset.
-  std::vector<FailureEvent> failures;
-  /// Declarative failure-injection schedule (time / after-checkpoint /
-  /// after-events triggers); merged with `failures` at bootstrap.
+  /// Declarative failure-injection schedule: crashes (time /
+  /// after-checkpoint / after-events triggers) and gray-failure windows.
   FaultPlan fault_plan;
   /// Declarative storage corruption: each entry lands on one process's
   /// n-th checkpoint take (1-based, counting re-takes after rollback).
@@ -149,12 +141,6 @@ struct SimOptions {
   /// How much nondeterminism the hook is offered (ignored when the hook
   /// is null).
   PerturbOptions perturb;
-  /// Supervised failure mode: crashes mark the process dead (events
-  /// targeting it are dropped) instead of triggering immediate rollback;
-  /// recovery waits for an in-model verdict (Engine::supervised_restart /
-  /// Engine::quarantine, normally issued by sim::Supervisor). Forced on
-  /// automatically when the driver's wants_supervised_failures() is true.
-  bool supervised = false;
   /// Runaway guard.
   long max_events = 5'000'000;
   /// Resolver for irregular expressions; when empty, a deterministic
@@ -260,6 +246,9 @@ class Engine {
   /// nullptr (the coordination-free app-driven runtime).
   Engine(const mp::Program& program, SimOptions opts,
          ProtocolDriver* driver = nullptr);
+  /// A temporary program would dangle before run(); keep it in a local.
+  Engine(const mp::Program&& program, SimOptions opts,
+         ProtocolDriver* driver = nullptr) = delete;
   ~Engine();
 
   /// Runs to completion (all processes finish) or until max_events.
@@ -286,7 +275,7 @@ class Engine {
   /// Lets a C-L driver account a logged channel-state message.
   void note_channel_logged() { ++stats_.channel_logged_messages; }
 
-  // -- Supervised failure mode (SimOptions::supervised) --------------------
+  // -- Supervised failure mode (ProtocolDriver::wants_supervised_failures) --
   /// True while `proc` is crashed (supervised mode) and not yet restored.
   bool is_crashed(int proc) const;
   /// True once `proc` was retired by quarantine(); never restored.
@@ -335,7 +324,7 @@ class Engine {
   /// Returns the blocking overhead charged to the process.
   double take_checkpoint(int proc, int ckpt_id, bool forced);
   void start_collective(int proc, const Action& action);
-  void handle_failure(const FailureEvent& failure);
+  void handle_failure(int proc);
   /// Supervised mode: mark `proc` crashed without rolling anything back —
   /// recovery waits for a detector verdict (supervised_restart/quarantine).
   void supervised_crash(int proc);
@@ -344,8 +333,7 @@ class Engine {
   /// engine-omniscient mode; supervised_restart reuses it for verdicts.
   void perform_rollback(int failed_proc);
   // -- Partition / stall / slow-link window evaluation ---------------------
-  /// True if src→dst traffic is cut at time `t` (static plan + runtime
-  /// explorer-injected windows).
+  /// True if src→dst traffic is cut at time `t`.
   bool link_blocked(int src, int dst, double t) const;
   /// Earliest time ≥ t at which src→dst is unblocked (fixed point over
   /// overlapping windows; t itself when clear).
@@ -356,8 +344,6 @@ class Engine {
   double p2p_delay(int src, int dst, int bytes, double at);
   /// Earliest time ≥ t at which `proc` is not stalled.
   double stall_clear_time(int proc, double t) const;
-  /// Arms `fault` (appends to the resolved schedule + queues the event).
-  void arm_failure(int proc, double time);
   /// Fires any pending after-checkpoint fault of `proc` that its tally
   /// just satisfied.
   void check_checkpoint_faults(int proc);
@@ -367,6 +353,13 @@ class Engine {
   /// re-execute exactly the rounds their restored counters precede.
   void reset_collectives_for_rollback();
   double message_delay(int bytes);
+  /// Sends trace message `msg_index` (already in trace_.messages) from its
+  /// source at time `at`. On the reliable fast path a partitioned link
+  /// holds the departure until the heal, the schedule hook may postpone
+  /// delivery, and the per-channel FIFO floor (app and control channels
+  /// keep separate floors) orders it; on a lossy wire it goes to the
+  /// reliable-transport shim instead.
+  void post_message(long msg_index, double at);
   void push_event(double time, EvKind kind, int proc, long a = -1,
                   long b = -1);
   // -- Schedule-perturbation hook plumbing (sim/schedule_hook.h) -----------
@@ -413,6 +406,9 @@ class Engine {
   void reset_transport_for_rollback();
 
   const mp::Program& program_;
+  /// The engine's own copy. Explorer-injected partition/stall windows are
+  /// appended to opts_.fault_plan, after the plan's, and expire by time
+  /// exactly like plan entries.
   SimOptions opts_;
   ProtocolDriver* driver_;
   mp::IrregularResolver resolver_;
@@ -433,9 +429,6 @@ class Engine {
   SimStats stats_;
   trace::Trace trace_;
   std::vector<RecoveryRec> recoveries_;
-  /// Resolved failure schedule: legacy opts_.failures plus every fault of
-  /// opts_.fault_plan that has fired (kFailure events index into this).
-  std::vector<FailureEvent> armed_failures_;
   struct PendingFault {
     FaultSpec spec;
     bool fired = false;
@@ -445,11 +438,6 @@ class Engine {
   std::vector<char> crashed_;
   std::vector<char> quarantined_;
   std::vector<double> crash_time_;
-  /// Explorer-injected gray-failure windows (kPartitionPoint/kStallPoint
-  /// choices), consulted alongside the static plan. Cleared by nothing —
-  /// windows expire by time, exactly like plan entries.
-  std::vector<PartitionSpec> runtime_partitions_;
-  std::vector<StallSpec> runtime_stalls_;
   std::vector<std::unique_ptr<Process>> procs_;
   std::vector<EngineSnapshot> snapshots_;
   /// Per-process completed-checkpoint tally — checkpoint_count() is on the

@@ -21,7 +21,7 @@ struct Ev {
   long seq = 0;  ///< tie-break: FIFO among simultaneous events
   EvKind kind = EvKind::kWake;
   int proc = -1;
-  long a = -1;    ///< msg index / timer id / failure index / channel
+  long a = -1;    ///< msg index / timer id / channel
   long b = -1;    ///< transport: ack upto / RTO sequence number
   int epoch = 0;  ///< wake/deliver events from pre-rollback epochs drop
 };

@@ -94,6 +94,23 @@ TEST(Cli, RunWithFailureAndDiagram) {
   EXPECT_NE(r.output.find("P0"), std::string::npos);  // diagram rows
 }
 
+TEST(Cli, RunRejectsAFailureOutsideTheWorld) {
+  for (const char* spec : {"4@5", "9@5", "-1@5"}) {
+    SCOPED_TRACE(spec);
+    const auto r = run_cli(std::string("run -w ring -n 4 --fail ") + spec);
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    EXPECT_NE(r.output.find("error:"), std::string::npos);
+    EXPECT_NE(r.output.find("outside the world"), std::string::npos);
+  }
+}
+
+TEST(Cli, RunRejectsANegativeFailureTime) {
+  const auto r = run_cli("run -w ring -n 4 --fail 1@-3");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("error:"), std::string::npos);
+  EXPECT_NE(r.output.find("non-negative"), std::string::npos);
+}
+
 TEST(Cli, InsertAddsCheckpoints) {
   // pipeline.mp already has checkpoints; use a temp checkpoint-free file.
   const std::string src = ::testing::TempDir() + "acfc_cli_plain.mp";

@@ -1,8 +1,11 @@
-// Tests for engine features layered on the core semantics: checkpoint
+// Tests for engine features layered on the core semantics: construction
+// checks (temporary programs, faults outside the world), checkpoint
 // latency vs overhead (commit times gate recovery), store-backed
 // checkpoint cost callbacks, and heterogeneous per-process compute
 // speeds.
 #include <gtest/gtest.h>
+
+#include <type_traits>
 
 #include "mp/parser.h"
 #include "sim/engine.h"
@@ -13,6 +16,33 @@
 namespace {
 
 using namespace acfc;
+
+TEST(EngineConstruction, RejectsTemporaryPrograms) {
+  // The engine keeps a reference to its program, so a temporary would be
+  // destroyed before run() reads it; the rvalue overload is deleted.
+  static_assert(!std::is_constructible_v<sim::Engine, mp::Program&&,
+                                         sim::SimOptions>);
+  static_assert(!std::is_constructible_v<sim::Engine, const mp::Program&&,
+                                         sim::SimOptions>);
+  static_assert(std::is_constructible_v<sim::Engine, const mp::Program&,
+                                        sim::SimOptions>);
+  static_assert(
+      std::is_constructible_v<sim::Engine, mp::Program&, sim::SimOptions>);
+}
+
+TEST(EngineConstruction, RejectsFaultsOutsideTheWorldOrBeforeTimeZero) {
+  const mp::Program p = mp::parse("program t { compute 1.0; }");
+  for (const sim::FaultSpec& bad :
+       {sim::FaultPlan::at_time(2, 1.0), sim::FaultPlan::at_time(-1, 1.0),
+        sim::FaultPlan::at_time(0, -3.0),
+        sim::FaultPlan::after_checkpoint(5, 1),
+        sim::FaultPlan::after_events(-2, 10)}) {
+    sim::SimOptions opts;
+    opts.nprocs = 2;
+    opts.fault_plan.faults = {bad};
+    EXPECT_THROW(sim::Engine(p, opts), util::InternalError);
+  }
+}
 
 TEST(CheckpointLatency, CommitTimeRecorded) {
   const mp::Program p = mp::parse("program t { checkpoint; compute 1.0; }");
@@ -39,14 +69,15 @@ TEST(CheckpointLatency, UncommittedCheckpointNotUsedForRecovery) {
   sim::SimOptions opts;
   opts.nprocs = 2;
   opts.checkpoint_latency = 3.0;  // durable at t=8
-  opts.failures = {{0, 6.0}};     // after t_end (5.0), before t_commit
+  // After t_end (5.0), before t_commit.
+  opts.fault_plan.faults = {sim::FaultPlan::at_time(0, 6.0)};
   const auto r = sim::Engine(p, opts).run();
   EXPECT_TRUE(r.trace.completed);
   EXPECT_GT(r.trace.end_time, 15.0);  // restarted from scratch
 
   // Same failure after the commit: only the tail reruns.
   sim::SimOptions late = opts;
-  late.failures = {{0, 9.0}};
+  late.fault_plan.faults = {sim::FaultPlan::at_time(0, 9.0)};
   const auto r2 = sim::Engine(p, late).run();
   EXPECT_TRUE(r2.trace.completed);
   EXPECT_LT(r2.trace.end_time, 15.0);

@@ -21,7 +21,9 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "sim/montecarlo.h"
+#include "sim/supervisor.h"
 #include "trace/json.h"
+#include "util/checksum.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -398,7 +400,7 @@ TEST(ObsEngine, InstrumentedRunExportsEngineAndCalqueueLayers) {
   sim::SimOptions opts;
   opts.nprocs = 4;
   opts.obs = &registry;
-  opts.failures = {{1, 25.0}};
+  opts.fault_plan.faults = {sim::FaultPlan::at_time(1, 25.0)};
   sim::Engine engine(program, opts);
   const sim::SimResult result = engine.run();
 
@@ -416,6 +418,45 @@ TEST(ObsEngine, InstrumentedRunExportsEngineAndCalqueueLayers) {
   for (const auto& span : snap.spans)
     has_rollback_span |= span.name == "rollback";
   EXPECT_TRUE(has_rollback_span);
+}
+
+TEST(ObsEngine, SupervisedLossyPartitionedRunJsonlGoldenBytes) {
+  ACFC_REQUIRE_OBS();
+  // Pins the whole end-of-run flush of a run that moves nearly every
+  // counter: a crash detected by a supervisor, a partition and a stall,
+  // a slow link, and a lossy wire under the reliable shim.
+  mp::WorkloadParams params;
+  params.iterations = 6;
+  const mp::Program program = mp::ring(params);
+  obs::Registry registry;
+  sim::SimOptions opts;
+  opts.nprocs = 4;
+  opts.seed = 5;
+  opts.recovery_overhead = 0.5;
+  opts.delay.drop = 0.1;
+  opts.delay.dup = 0.05;
+  opts.delay.reorder = 0.1;
+  opts.transport.max_retries = 3;
+  opts.fault_plan.faults = {sim::FaultPlan::at_time(1, 25.0)};
+  opts.fault_plan.partitions = {sim::FaultPlan::partition({2}, 4.0, 12.0)};
+  opts.fault_plan.stalls = {sim::FaultPlan::stall(3, 40.0, 4.0)};
+  opts.fault_plan.slow_links = {
+      sim::FaultPlan::slow_link(0, -1, 2.0, 60.0, 2.0)};
+  opts.obs = &registry;
+  sim::SupervisorOptions so;
+  so.detector.hb_interval = 0.5;
+  so.detector.timeout = 2.0;
+  so.detector.hb_bytes = 1;
+  so.poll_interval = 1.0;
+  so.restart_budget = 3;
+  so.backoff_base = 0.5;
+  so.backoff_max = 2.0;
+  sim::Supervisor supervisor(so);
+  sim::Engine engine(program, opts, &supervisor);
+  ASSERT_TRUE(engine.run().trace.completed);
+  const std::string jsonl = obs::to_jsonl(registry.snapshot());
+  EXPECT_EQ(jsonl.size(), 6391u) << jsonl;
+  EXPECT_EQ(util::checksum64(jsonl), 0x91bc573f5192a0f9ULL) << jsonl;
 }
 
 TEST(ObsEngine, DetachedRegistryStaysEmpty) {

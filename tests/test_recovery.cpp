@@ -209,20 +209,6 @@ TEST(FaultPlanTriggers, OverlappingFaultsAllRecover) {
   EXPECT_GE(oracle.restarts, 2);
 }
 
-TEST(FaultPlanTriggers, LegacyFailuresStillWork) {
-  const mp::Program program = mp::parse(kRing);
-  sim::SimOptions opts;
-  opts.nprocs = 4;
-  opts.recovery_overhead = 0.5;
-  opts.failures = {{1, 12.0}};
-  sim::Engine engine(program, opts);
-  const auto result = engine.run();
-  ASSERT_TRUE(result.trace.completed);
-  EXPECT_EQ(result.stats.restarts, 1);
-  ASSERT_EQ(result.recoveries.size(), 1u);
-  EXPECT_EQ(result.recoveries[0].failed_proc, 1);
-}
-
 // ---------------------------------------------------------------------------
 // Recovery metrics
 // ---------------------------------------------------------------------------

@@ -11,15 +11,20 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <queue>
 #include <string>
 #include <vector>
 
+#include "explore/explore.h"
 #include "mp/generate.h"
+#include "mp/parser.h"
+#include "proto/protocols.h"
 #include "sim/calqueue.h"
 #include "sim/engine.h"
 #include "sim/fault.h"
 #include "sim/montecarlo.h"
+#include "sim/recovery.h"
 #include "util/checksum.h"
 #include "util/rng.h"
 #include "workloads/workloads.h"
@@ -123,6 +128,203 @@ TEST(Scheduler, MatchesLegacyUnderTimedFaultAndSparseTimes) {
   opts.recovery_overhead = 5.0;
   opts.fault_plan.faults.push_back(sim::FaultPlan::at_time(1, 120.0));
   EXPECT_EQ(run_fingerprint(program, opts), 0xb26498e49c5a9293ULL);
+}
+
+// ---------------------------------------------------------------------------
+// Gray-failure grid (tier 1): every driver under crashes, partitions,
+// stalls and a slow link, on the reliable and the lossy wire
+// ---------------------------------------------------------------------------
+
+/// fingerprint() plus everything the send paths decide: each message's
+/// delivery time and transport sequence number, and the partition, stall,
+/// transport and control-plane counters.
+std::uint64_t gray_fingerprint(const sim::SimResult& r) {
+  util::Checksum64 h(0x9a7f);
+  auto scalar = [&h](auto v) { h.update(&v, sizeof v); };
+  scalar(fingerprint(r));
+  for (const trace::MsgRec& m : r.trace.messages) {
+    scalar(m.deliver_time);
+    scalar(m.xport_seq);
+  }
+  const sim::SimStats& s = r.stats;
+  for (const long v :
+       {s.control_messages, s.control_bytes, s.transport_sends,
+        s.transport_retransmits, s.transport_dropped,
+        s.transport_dup_arrivals, s.transport_acks, s.transport_give_ups,
+        s.transport_rto_backoffs, s.transport_reorder_high_water,
+        s.suspicions, s.false_suspicions, s.quarantines,
+        s.crash_dropped_events, s.partition_deferred_sends,
+        s.partition_dropped_attempts, s.stall_deferred_events})
+    scalar(v);
+  scalar(s.restarts);
+  scalar(s.supervised_restarts);
+  return h.finish();
+}
+
+TEST(SchedulerGrayFailure, DriversUnderWindowsAndLossMatchGolden) {
+  // Driver-major, then workload, then wire (reliable, lossy).
+  constexpr std::uint64_t kGolden[] = {
+      0x2c5b7d02588f0cfaULL, 0x2f53dd0e33843181ULL, 0x94a835182c94e97aULL,
+      0xa0ca682f24043055ULL, 0x9d6a1c630770c61bULL, 0x2303d449196b2aafULL,
+      0x4156fa68a6b48d60ULL, 0x46da3b63c5142259ULL, 0x1780c40fe5f8d495ULL,
+      0x6a9d1208d6efcca5ULL, 0xea30dd77dd0ea03aULL, 0x198e3f7c9dbbe357ULL,
+      0x902c2f816f38aaa9ULL, 0xd34744aed7ece4a7ULL, 0xe638938e7713cbe0ULL,
+      0xc1c25c2783409045ULL, 0x869a8fce1f6a0a61ULL, 0x2709ae74aeeff1f5ULL,
+      0xd70bdb6eb0b083beULL, 0x1e219fe6ebe3367fULL, 0x65ebc7d335f64767ULL,
+      0xe054b9d0428ed739ULL, 0xb0c9fdcd0b3cbf8bULL, 0x4f514c30e7ffbf3cULL,
+      0x1c374c5f957fa735ULL, 0x9c7ca73cedb631d2ULL, 0x11adb5cc9519a620ULL,
+      0x133dacc5234e1986ULL,
+  };
+  constexpr int kN = 4;
+  constexpr double kHorizon = 80.0;
+  std::size_t i = 0;
+  for (const std::string driver :
+       {"app-driven", "sync-and-stop", "chandy-lamport", "koo-toueg", "cic",
+        "uncoordinated", "supervised"}) {
+    proto::ProtocolOptions popts;
+    popts.interval = 15.0;
+    const sim::DriverFactory factory =
+        proto::driver_factory_by_name(driver, popts);
+    for (const std::string workload : {"ring", "stencil_two_phase"}) {
+      mp::WorkloadParams params;
+      params.iterations = 6;
+      params.checkpoints = driver == "app-driven" || driver == "supervised";
+      const mp::Program program = mp::workload_by_name(workload, params);
+      for (const bool lossy : {false, true}) {
+        const std::uint64_t seed = 31 + i;
+        sim::SimOptions opts;
+        opts.nprocs = kN;
+        opts.seed = seed;
+        opts.checkpoint_overhead = 0.2;
+        opts.recovery_overhead = 0.5;
+        if (lossy) {
+          opts.delay.drop = 0.05;
+          opts.delay.dup = 0.02;
+          opts.delay.reorder = 0.05;
+        }
+        opts.fault_plan = sim::random_fault_plan(seed, kN, kHorizon, 2, 2, 2);
+        opts.fault_plan.slow_links.push_back(sim::FaultPlan::slow_link(
+            static_cast<int>(seed % kN), -1, 0.2 * kHorizon, 0.6 * kHorizon,
+            3.0));
+        SCOPED_TRACE(driver + " " + workload + (lossy ? " lossy" : ""));
+        const std::unique_ptr<sim::ProtocolDriver> d = factory();
+        sim::Engine engine(program, opts, d.get());
+        EXPECT_EQ(gray_fingerprint(engine.run()), kGolden[i++]);
+      }
+    }
+  }
+  EXPECT_EQ(i, std::size(kGolden));
+}
+
+TEST(SchedulerGrayFailure, ReplaysWaitForThePartitionToHeal) {
+  // Rank 0 sends and then checkpoints; rank 1 checkpoints and then
+  // receives. Crashing rank 1 in between leaves the message in transit
+  // across the recovery line, so the rollback replays it from the log
+  // while rank 0 is still cut off.
+  const mp::Program program = mp::parse(R"(
+    program transit {
+      if (rank == 0) {
+        compute 1.0;
+        send to 1 tag 1;
+        checkpoint;
+        compute 10.0;
+      } else {
+        checkpoint;
+        compute 10.0;
+        recv from 0 tag 1;
+      }
+    })");
+  constexpr std::uint64_t kGolden[] = {0x60db11eb752cd955ULL,
+                                       0x625f78f7635c6c3cULL};
+  constexpr double kHeal = 20.0;
+  std::size_t i = 0;
+  for (const bool lossy : {false, true}) {
+    SCOPED_TRACE(lossy ? "lossy" : "reliable");
+    sim::SimOptions opts;
+    opts.nprocs = 2;
+    opts.recovery_overhead = 0.5;
+    if (lossy) opts.delay.drop = 0.05;
+    opts.fault_plan.faults = {sim::FaultPlan::at_time(1, 6.0)};
+    opts.fault_plan.partitions = {
+        sim::FaultPlan::partition({0}, 5.0, kHeal)};
+    sim::Engine engine(program, opts);
+    const sim::SimResult r = engine.run();
+    ASSERT_TRUE(r.trace.completed);
+    long replays = 0;
+    for (const trace::MsgRec& m : r.trace.messages)
+      if (m.replayed) {
+        ++replays;
+        EXPECT_GE(m.deliver_time, kHeal);
+      }
+    EXPECT_EQ(replays, 1);
+    EXPECT_EQ(gray_fingerprint(r), kGolden[i++]);
+  }
+}
+
+TEST(SchedulerGrayFailure, ExplorerWindowSearchCountsMatchGolden) {
+  // Explorer-injected crash, partition and stall points. Chandy-Lamport
+  // and the supervisor send control messages, so injected windows reach
+  // the control send path too; the memo counts pin the state hash.
+  struct Expected {
+    const char* driver;
+    long schedules, choice_points, states_recorded, states_pruned;
+    std::uint64_t replays;
+  };
+  constexpr Expected kGolden[] = {
+      {"app-driven", 46, 2763, 89, 10, 0x6c5d3048c6438ec7ULL},
+      {"chandy-lamport", 46, 2898, 89, 10, 0x423e4afd7f0c4c7dULL},
+      {"supervised", 46, 3414, 89, 10, 0xeb7667bf957ef6dfULL},
+  };
+  // Choice vectors, three per boundary: crash, partition, stall.
+  const std::vector<std::vector<int>> kPlans = {
+      {0, 1, 0, 0, 0, 1},
+      {0, 0, 1, 0, 1, 0, 0, 1, 0},
+      {1, 0, 0, 0, 1, 0, 0, 0, 1},
+      {0, 1, 1, 0, 1, 1, 0, 1, 1},
+  };
+  for (const Expected& want : kGolden) {
+    SCOPED_TRACE(want.driver);
+    explore::Scenario sc;
+    sc.workload = "ring";
+    sc.params.iterations = 2;
+    sc.nprocs = 3;
+    sc.driver = want.driver;
+    sc.proto.interval = 20.0;
+    explore::ExploreOptions opts;
+    opts.max_choice_points = 9;
+    opts.max_schedules = 4000;
+    opts.perturb.tie_cap = 1;
+    opts.perturb.failure_points = true;
+    opts.perturb.partition_points = true;
+    opts.perturb.partition_window = 2.0;
+    opts.perturb.stall_points = true;
+    opts.perturb.stall_window = 2.0;
+    const explore::ExploreResult r = explore::explore(sc, opts);
+    EXPECT_TRUE(r.complete);
+    EXPECT_EQ(r.violations_found, 0);
+    EXPECT_EQ(r.schedules_run, want.schedules);
+    EXPECT_EQ(r.choice_points, want.choice_points);
+    EXPECT_EQ(r.states_recorded, want.states_recorded);
+    EXPECT_EQ(r.states_pruned, want.states_pruned);
+    EXPECT_EQ(r.max_plan_length, 9);
+    // Replays of hand-picked plans that inject windows early, late and
+    // next to a crash, folded with every counter the windows move.
+    util::Checksum64 h(0x3e91);
+    auto scalar = [&h](auto v) { h.update(&v, sizeof v); };
+    for (const std::vector<int>& plan : kPlans) {
+      const explore::ReplayReport rep = explore::replay_plan(sc, opts, plan);
+      scalar(rep.completed);
+      scalar(rep.digest);
+      for (const long v :
+           {rep.stats.events_processed, rep.stats.control_messages,
+            rep.stats.partition_deferred_sends,
+            rep.stats.stall_deferred_events, rep.stats.crash_dropped_events,
+            rep.stats.suspicions})
+        scalar(v);
+      scalar(rep.stats.restarts);
+    }
+    EXPECT_EQ(h.finish(), want.replays);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ struct Args {
   double wm = 2e-3;
   bool strict = false;
   bool diagram = false;
-  std::vector<sim::FailureEvent> failures;
+  sim::FaultPlan faults;  ///< --fail P@T crashes
   // explore
   std::optional<std::string> repro;
   std::string driver = "app-driven";
@@ -217,8 +217,8 @@ std::optional<Args> parse_args(int argc, char** argv) {
       if (!v) return std::nullopt;
       const auto at = v->find('@');
       if (at == std::string::npos) return std::nullopt;
-      args.failures.push_back(
-          {std::stoi(v->substr(0, at)), std::stod(v->substr(at + 1))});
+      args.faults.faults.push_back(sim::FaultPlan::at_time(
+          std::stoi(v->substr(0, at)), std::stod(v->substr(at + 1))));
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "unknown flag: " << arg << '\n';
       return std::nullopt;
@@ -315,7 +315,7 @@ int cmd_run(const Args& args) {
   sim::SimOptions opts;
   opts.nprocs = args.nprocs;
   opts.seed = args.seed;
-  opts.failures = args.failures;
+  opts.fault_plan = args.faults;
   obs::Registry registry;
   if (args.trace_out) opts.obs = &registry;
   sim::Engine engine(program, opts);
